@@ -52,7 +52,8 @@ from .wreath import (
     w_identity,
     w_inv,
     w_mul,
-    wreath_character,
+    wreath_character,  # noqa: F401  (perfbench tracing tests call it here)
+    wreath_character_row,
     wreath_dim,
     wreath_order,
 )
@@ -401,9 +402,8 @@ def criterion_10() -> CriterionResult:
         for n in range(1, nmax + 1):
             lams = multipartitions(len(table.rows), n)
             taus = multipartitions(len(group.classes), n)
-            vals = {
-                (l, tau): wreath_character(table, l, tau) for l in lams for tau in taus
-            }
+            rows = {l: wreath_character_row(table, l) for l in lams}
+            vals = {(l, tau): rows[l].get(tau, ZERO) for l in lams for tau in taus}
             conj = {k: v.conjugate() for k, v in vals.items()}
             sizes = {tau: type_class_size(group, tau) for tau in taus}
             order = wreath_order(group, n)

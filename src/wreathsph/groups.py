@@ -181,7 +181,8 @@ class CharacterTable:
             f"chi{i+1}" for i in range(len(self.rows))
         )
         self.degrees = tuple(row[self.group.class_of[0]].as_int() for row in self.rows)
-        self._wreath_cache = {}
+        self._wreath_cache = {}  # wreath-product character rows by label
+        self._schur_images = {}  # pushed Schur factors by (row, partition)
 
     def num_rows(self) -> int:
         return len(self.rows)

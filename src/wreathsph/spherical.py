@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -638,17 +640,32 @@ def cache_key(*parts: bytes | str | int) -> str:
 
 
 def cache_load(cache_dir: str | Path | None, key: str) -> str | None:
+    """The cached table payload, or None on a miss.  An entry that is not a
+    whole format-1 table, exactly as written, counts as a miss."""
     if cache_dir is None:
         return None
-    path = Path(cache_dir) / f"{key}.json"
-    if path.exists():
-        return path.read_text()
-    return None
+    try:
+        payload = (Path(cache_dir) / f"{key}.json").read_text()
+        obj = json.loads(payload)
+    except (OSError, ValueError):
+        return None
+    if not (
+        isinstance(obj, dict)
+        and obj.get("format") == 1
+        and all(isinstance(obj.get(k), list) for k in ("rows", "cols", "values"))
+        and json.dumps(obj, indent=2, sort_keys=True) + "\n" == payload
+    ):
+        return None
+    return payload
 
 
 def cache_store(cache_dir: str | Path | None, key: str, payload: str) -> None:
+    """Write the entry to a temporary file beside it, then rename it into
+    place, so a reader never sees a partial entry."""
     if cache_dir is None:
         return
     path = Path(cache_dir)
     path.mkdir(parents=True, exist_ok=True)
-    (path / f"{key}.json").write_text(payload)
+    with tempfile.NamedTemporaryFile("w", dir=path, suffix=".tmp", delete=False) as fh:
+        fh.write(payload)
+    os.replace(fh.name, path / f"{key}.json")

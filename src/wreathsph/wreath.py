@@ -11,7 +11,7 @@ from functools import cache
 from itertools import product as iproduct
 from math import factorial
 
-from .cyclo import CycNum, ONE, ZERO
+from .cyclo import CycNum, ZERO
 from .groups import CapExceeded, CharacterTable, ClassFusion, FiniteGroup, GroupError
 from .partitions import (
     MultiPartition,
@@ -21,7 +21,7 @@ from .partitions import (
     partitions_of,
     strict_partitions,
 )
-from .symfunc import sym_character
+from .symfunc import SymFuncElem, schur_p_expr, sym_character
 
 Perm = tuple[int, ...]
 
@@ -189,96 +189,46 @@ def wreath_dim(table: CharacterTable, lam: MultiPartition) -> int:
     return int(out)
 
 
-@cache
-def _value_distributions(parts: tuple[int, ...], q: int) -> tuple:
-    """All ways to distribute a multiset of parts into q labelled buckets."""
-    values: dict[int, int] = {}
-    for p in parts:
-        values[p] = values.get(p, 0) + 1
+def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncElem:
+    """s_part pushed into the class alphabet by p_r(chi) -> sum_c chi(c)/zeta_c
+    p_r(c), memoized on the table."""
+    key = (chi, part)
+    image = table._schur_images.get(key)
+    if image is None:
+        row, zc = table.rows[chi], table.group.centralizer_orders
+        image = SymFuncElem.from_p_expr(("x",), 0, schur_p_expr(part)).change_alphabet(
+            lambda _a, c, _r: row[c] * Fraction(1, zc[c]), range(len(row))
+        )
+        table._schur_images[key] = image
+    return image
 
-    def comps(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in comps(total - first, slots - 1):
-                yield (first,) + rest
 
-    dists = [tuple(() for _ in range(q))]
-    for v, m in values.items():
-        nxt = []
-        for dist in dists:
-            for comp in comps(m, q):
-                nxt.append(
-                    tuple(dist[i] + (v,) * comp[i] for i in range(q))
-                )
-        dists = nxt
-    return tuple(dists)
+def wreath_character_row(
+    table: CharacterTable, lam: MultiPartition
+) -> dict[MultiPartition, CycNum]:
+    """Every nonzero value of the irreducible S(lam), keyed by class type, by
+    the characteristic map: chi^lam(tau) = Z_tau [P_tau] prod_chi s_lam(chi)."""
+    group = table.group
+    image = SymFuncElem.one(range(len(group.classes)))
+    for chi, part in enumerate(lam):
+        if part.size:
+            image = image * _pushed_schur(table, chi, part)
+    return {
+        tau: v * type_centralizer_order(group, tau) for tau, v in image.terms.items()
+    }
 
 
 def wreath_character(
     table: CharacterTable, lam: MultiPartition, tau: MultiPartition
 ) -> CycNum:
-    """Character of the irreducible S(lam) at the class of type tau,
-    by class fusion from the inner product of base blocks."""
+    """Character of the irreducible S(lam) at the class of type tau, read
+    from the row memoized on the table."""
     if lam.weight != tau.weight:
         raise ValueError("weight mismatch between label and class type")
-    key = (lam, tau)
-    cached = table._wreath_cache.get(key)
-    if cached is not None:
-        return cached
-    group = table.group
-    q = len(table.rows)
-    weights = tuple(p.size for p in lam)
-    # per class, distributions of its parts into q character buckets
-    per_class = []
-    for c, part in enumerate(tau):
-        if part.size:
-            per_class.append((c, _value_distributions(part.parts, q)))
-    total = ZERO
-
-    def rec(idx: int, acc_parts, acc_weight):
-        nonlocal total
-        if idx == len(per_class):
-            if acc_weight != weights:
-                return
-            term_scalar = Fraction(1)
-            term_cyc = ONE
-            for chi in range(q):
-                sub = MultiPartition(
-                    Partition(sorted(acc_parts[chi][c], reverse=True))
-                    for c in range(len(group.classes))
-                )
-                term_scalar /= type_centralizer_order(group, sub)
-                term_scalar *= sym_character(lam[chi], sub.hat())
-                for c in range(len(group.classes)):
-                    ell = len(sub[c])
-                    if ell:
-                        term_cyc = term_cyc * table.rows[chi][c] ** ell
-            if term_scalar:
-                total = total + term_cyc * term_scalar
-            return
-        c, dists = per_class[idx]
-        for dist in dists:
-            new_parts = [dict(d) for d in acc_parts]
-            new_weight = list(acc_weight)
-            ok = True
-            for chi in range(q):
-                if dist[chi]:
-                    new_weight[chi] += sum(dist[chi])
-                    if new_weight[chi] > weights[chi]:
-                        ok = False
-                        break
-                    new_parts[chi] = dict(acc_parts[chi])
-                    new_parts[chi][c] = dist[chi]
-            if ok:
-                rec(idx + 1, new_parts, tuple(new_weight))
-
-    empty = [{c: () for c in range(len(group.classes))} for _ in range(q)]
-    rec(0, empty, (0,) * q)
-    value = total * type_centralizer_order(group, tau)
-    table._wreath_cache[key] = value
-    return value
+    row = table._wreath_cache.get(lam)
+    if row is None:
+        row = table._wreath_cache[lam] = wreath_character_row(table, lam)
+    return row.get(tau, ZERO)
 
 
 def wreath_table_json(table: CharacterTable, n: int) -> dict:
@@ -297,7 +247,8 @@ def wreath_table_json(table: CharacterTable, n: int) -> dict:
         "classes": [tau.to_json(class_names) for tau in taus],
         "class_sizes": [type_class_size(group, tau) for tau in taus],
         "values": [
-            [str(wreath_character(table, lam, tau)) for tau in taus] for lam in lams
+            [str(row.get(tau, ZERO)) for tau in taus]
+            for row in (wreath_character_row(table, lam) for lam in lams)
         ],
     }
 
@@ -580,19 +531,34 @@ def decompose_induced(
     cap_classwork: int = 10**7,
 ) -> dict[MultiPartition, int]:
     """Multiplicities of every irreducible in the induced paired character,
-    by the reciprocity sum over the subgroup.  Zero entries are omitted."""
+    by the reciprocity sum over the subgroup.  Zero entries are omitted.
+
+    The type weights sum_tau W(tau) P_tau are pushed into the character
+    alphabets by the inverse map p_r(c) -> sum_chi chi(c) p_r(chi); then
+    m_lam = (1/|K|) sum_rho a_rho prod_chi chi^lam(chi)(rho(chi))."""
     group = table.group
     n = theta.n
     hg_size = group.order**n * 2**n * factorial(n)
     weights = theta_type_weights(group, theta, cap_elements)
-    work = len(multipartitions(len(table.rows), 2 * n)) * max(1, len(weights))
+    lams = multipartitions(len(table.rows), 2 * n)
+    work = len(lams) * max(1, len(weights))
     if work > cap_classwork:
         raise CapExceeded("cap-classwork", cap_classwork, work)
+    pushed = SymFuncElem(range(len(group.classes)), weights).change_alphabet(
+        lambda c, chi, _r: table.rows[chi][c], range(len(table.rows))
+    )
+    by_sizes: dict[tuple[int, ...], list] = {}
+    for rho, a in pushed.terms.items():
+        by_sizes.setdefault(tuple(p.size for p in rho), []).append((rho, a))
     out: dict[MultiPartition, int] = {}
-    for lam in multipartitions(len(table.rows), 2 * n):
+    for lam in lams:
         tot = ZERO
-        for tau, w in weights.items():
-            tot = tot + wreath_character(table, lam, tau) * w
+        for rho, a in by_sizes.get(tuple(p.size for p in lam), ()):
+            coef = 1
+            for part, r in zip(lam, rho):
+                coef *= sym_character(part, r)
+            if coef:
+                tot = tot + a * coef
         val = (tot * Fraction(1, hg_size)).try_rational()
         if val is None or val.denominator != 1 or val < 0:
             raise GroupError(f"non-integral multiplicity {tot} at {lam}")

@@ -94,6 +94,28 @@ def test_spherical_cache_roundtrip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
+    g, t = paths("c2")
+    args = ["spherical", "--group", g, "--table", t, "--xi", "chi2",
+            "--pi", "triv", "--n", "2"]
+    cache = tmp_path / "cache"
+    want = {}
+    for fmt in ("json", "csv"):
+        assert main(args + ["--format", fmt]) == 0
+        want[fmt] = capsys.readouterr().out
+    assert main(args + ["--format", "json", "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    (entry,) = cache.iterdir()
+    full = entry.read_text()
+    for cut in (len(full) // 2, len(full) - 1):
+        for fmt in ("json", "csv"):
+            entry.write_text(full[:cut])
+            assert main(args + ["--format", fmt, "--cache-dir", str(cache)]) == 0
+            assert capsys.readouterr().out == want[fmt]
+            assert entry.read_text() == full
+    assert list(cache.iterdir()) == [entry]
+
+
 def test_spherical_csv_format(capsys):
     g, t = paths("c2")
     rc = main(["spherical", "--group", g, "--table", t, "--xi", "chi2",

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wreathsph.cyclo import CycNum, ONE, ZERO
+from wreathsph.cyclo import CycNum, ONE, ZERO, sum_products
 from wreathsph.groups import GroupError, bundled, fuse_classes, linear_characters
 from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
 from wreathsph.wreath import (
@@ -34,12 +34,14 @@ from wreathsph.wreath import (
     perm_of_partition,
     pi_value,
     reversal_element,
+    theta_type_weights,
     type_class_size,
     w_embed,
     w_identity,
     w_inv,
     w_mul,
     wreath_character,
+    wreath_character_row,
     wreath_dim,
     wreath_order,
 )
@@ -304,6 +306,32 @@ def test_decompose_dimension_bookkeeping():
             assert sum(wreath_dim(table, lam) for lam in dec) == index
 
 
+@pytest.mark.parametrize("name", ["c4", "q8"])
+def test_decompose_inverse_map_matches_forward_rows(name):
+    # decompose_induced pushes the type weights through the inverse
+    # characteristic map; the reciprocity sum over forward rows must agree
+    n = 2
+    group, table = bundled(name)
+    hg_size = group.order**n * 2**n * factorial(n)
+    rows = {
+        lam: wreath_character_row(table, lam)
+        for lam in multipartitions(len(table.rows), 2 * n)
+    }
+    for xi in linear_characters(table):
+        for pi in ("triv", "delta", "iota", "delta-iota"):
+            theta = PairedChar(table, xi, pi, n)
+            weights = theta_type_weights(group, theta)
+            direct = {}
+            for lam, row in rows.items():
+                tot = sum_products(
+                    (row[tau], w, Fraction(1, hg_size))
+                    for tau, w in weights.items() if tau in row
+                )
+                if tot:
+                    direct[lam] = tot.as_int()
+            assert decompose_induced(table, theta) == direct, (xi, pi)
+
+
 def test_hecke_vanishing_small():
     group, table = bundled("c4")
     fus = fuse_classes(group, table, 0)
@@ -335,10 +363,10 @@ def test_wreath_table_golden_files():
     from wreathsph.wreath import wreath_table_json
 
     golden_dir = Path(__file__).parent / "golden"
-    for name in ("c2", "c3", "q8"):
+    for name, n in (("c2", 2), ("c3", 2), ("q8", 2), ("gl2f3", 2), ("c4", 3)):
         group, table = bundled(name)
-        payload = json.dumps(wreath_table_json(table, 2), indent=2, sort_keys=True) + "\n"
-        assert payload == (golden_dir / f"{name}_wr_s2_table.json").read_text()
+        payload = json.dumps(wreath_table_json(table, n), indent=2, sort_keys=True) + "\n"
+        assert payload == (golden_dir / f"{name}_wr_s{n}_table.json").read_text()
 
 
 def test_paired_characters_are_distinct_at_degree_two():
