@@ -54,7 +54,7 @@ from .wreath import (
     w_identity,
     w_inv,
     w_mul,
-    wreath_character,
+    wreath_character,  # not used here; perfbench/test_tracing.py counts calls through it
     wreath_character_row,
     wreath_dim,
     wreath_order,
@@ -296,17 +296,6 @@ def criterion_7() -> CriterionResult:
     return _result(7, "cross-engine reconciliation", t0, failures)
 
 
-def _brute_column(ctx: SphericalContext, x: WreathElement) -> list[CycNum]:
-    """The brute spherical value at the element x for every row, from one
-    pass over K (`SphericalContext.brute_at_element` makes one per cell)."""
-    weights = ctx._weights_at(x)
-    return [
-        sum((wreath_character(ctx.table, lam, t) * w for t, w in weights.items()), ZERO)
-        * Fraction(1, ctx.hg_size)
-        for lam in ctx.rows
-    ]
-
-
 def _differ(where: str, pairs) -> list[str]:
     """One failure counting the (got, want) cells that differ, noting when every
     differing cell equals the negated expectation."""
@@ -358,7 +347,8 @@ def criterion_8() -> CriterionResult:
             at_y = []
             in_table = []
             for j, rho in enumerate(ctx.cols):
-                column = _brute_column(ctx, w_mul(group, ctx.rep(rho), flips))
+                y = w_mul(group, ctx.rep(rho), flips)
+                column = [ctx.brute_at_element(lam, y) for lam in ctx.rows]
                 rhat = rho.hat()
                 for i, lam in enumerate(ctx.rows):
                     lam1 = lam[0]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .acceptance import run_criteria
 from .groups import (
     CapExceeded,
@@ -25,6 +25,7 @@ from .groups import (
     validate_table,
 )
 from .spherical import (
+    TABLE_FORMAT,
     Caps,
     SphericalContext,
     build_table,
@@ -41,41 +42,11 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully-specified run: data files, twist, sign character, degree,
-    caps, and output routing.  The pi name ranges over exactly the four
-    linear characters of the block-centralizer subgroup."""
-
-    group_path: str
-    table_path: str
-    xi: str
-    pi: str
-    n: int
-    fmt: str = "csv"
-    out: str | None = None
-    cap_elements: int = 10**6
-    cap_classwork: int = 10**7
-
-    def __post_init__(self):
-        if self.pi not in PI_NAMES:
-            raise ValueError(f"unknown pi name {self.pi!r}; expected one of {PI_NAMES}")
-        if self.n < 1:
-            raise ValueError(f"degree must be positive, got {self.n}")
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            args.group,
-            args.table,
-            args.xi,
-            args.pi,
-            args.n,
-            getattr(args, "format", "csv"),
-            getattr(args, "out", None),
-            args.cap_elements,
-            args.cap_classwork,
-        )
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _emit(text: str, out: str | None):
@@ -92,13 +63,12 @@ def _load_pair(args):
 
 
 def _context(args, group, table) -> SphericalContext:
-    config = RunConfig.from_args(args)
     try:
-        xi = table.row_by_name(config.xi)
+        xi = table.row_by_name(args.xi)
     except KeyError as e:
         raise GroupError(str(e)) from None
-    caps = Caps(max_elements=config.cap_elements, max_classwork=config.cap_classwork)
-    return SphericalContext(group, table, xi, config.pi, config.n, caps)
+    caps = Caps(max_elements=args.cap_elements, max_classwork=args.cap_classwork)
+    return SphericalContext(group, table, xi, args.pi, args.n, caps)
 
 
 def cmd_validate(args) -> int:
@@ -176,6 +146,8 @@ def _table_payload(args, group, table) -> str:
     key = None
     if args.cache_dir:
         key = cache_key(
+            __version__,
+            TABLE_FORMAT,
             Path(args.group).read_bytes(),
             Path(args.table).read_bytes(),
             args.xi,
@@ -247,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run(p):
         p.add_argument("--xi", required=True, help="linear character name, e.g. chi2")
         p.add_argument("--pi", required=True, choices=PI_NAMES)
-        p.add_argument("--n", required=True, type=int)
+        p.add_argument("--n", required=True, type=_positive_int)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--cap-elements", type=int, default=10**6)

@@ -20,7 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 from pathlib import Path
 
@@ -51,7 +51,8 @@ from .symfunc import (
 from .wreath import (
     PairedChar,
     WreathElement,
-    class_type,
+    class_type,  # not used here; perfbench/test_tracing.py counts calls through it
+    conj_theta_values,
     coset_label_set,
     coset_rep,
     cycle_type,
@@ -60,13 +61,12 @@ from .wreath import (
     hg_elements,
     hyperoct_perms,
     irrep_label_set,
+    k_type_weights,
     p_compose,
     p_inverse,
     perm_of_partition,
     pi_value,
     w_identity,
-    w_inv,
-    w_mul,
     wreath_character,
     wreath_order,
 )
@@ -79,6 +79,9 @@ class Caps:
     max_elements: int = 10**6
     max_classwork: int = 10**7
 
+
+# The "format" tag of table JSON, also a part of every cache key.
+TABLE_FORMAT = 1
 
 PI_PARTNER_UNSIGNED = {"delta": "triv", "delta-iota": "iota"}
 PI_TENSOR_DELTA = {"triv": "delta", "iota": "delta-iota"}
@@ -115,7 +118,7 @@ class SphericalContext:
         if work > caps.max_classwork:
             raise CapExceeded("cap-classwork", caps.max_classwork, work)
         self.merged_names = tuple(f"R{i+1}" for i in range(len(self.fusion.merged)))
-        self._brute_weights: dict[MultiPartition, dict] = {}
+        self._weights: dict[WreathElement, dict[MultiPartition, CycNum]] = {}
         self._nu: dict[int, int] = {}
 
     # -- shared precomputations -------------------------------------------------
@@ -123,6 +126,11 @@ class SphericalContext:
     @cached_property
     def hg(self) -> list[WreathElement]:
         return hg_elements(self.group, self.n, self.caps.max_elements)
+
+    @cached_property
+    def conj_theta(self) -> list[CycNum]:
+        """conj(theta(h)) for each h of hg, in the same order."""
+        return conj_theta_values(self.theta, self.hg)
 
     @cached_property
     def hg_size(self) -> int:
@@ -147,15 +155,21 @@ class SphericalContext:
 
     # -- brute engine --------------------------------------------------------------
 
+    def check_brute_work(self) -> None:
+        """Refuse a brute table before its first pass over K: it makes one
+        pass per column and one at the identity."""
+        work = (len(self.cols) + 1) * self.hg_size
+        if work > self.caps.max_classwork:
+            raise CapExceeded("cap-classwork", self.caps.max_classwork, work)
+
     def _weights_at(self, x: WreathElement) -> dict[MultiPartition, CycNum]:
-        """Class-type-bucketed sums conj(theta(h)) over h, evaluated at h*x^-1."""
-        xinv = w_inv(self.group, x)
-        weights: dict[MultiPartition, CycNum] = {}
-        for h in self.hg:
-            t = class_type(self.group, w_mul(self.group, h, xinv))
-            w = self.theta.value(h).conjugate()
-            weights[t] = weights.get(t, ZERO) + w
-        return {t: v for t, v in weights.items() if v}
+        """Class-type-bucketed sums conj(theta(h)) over h, evaluated at h*x^-1;
+        one pass over K per evaluation element, memoized."""
+        weights = self._weights.get(x)
+        if weights is None:
+            weights = k_type_weights(self.group, self.hg, self.conj_theta, x)
+            self._weights[x] = weights
+        return weights
 
     def brute_at_element(self, lam: MultiPartition, x: WreathElement) -> CycNum:
         tot = ZERO
@@ -173,13 +187,7 @@ class SphericalContext:
                 f"{lam} is not a component of the induced character; "
                 "the averaged product vanishes identically"
             )
-        key = rho
-        if key not in self._brute_weights:
-            self._brute_weights[key] = self._weights_at(self.rep(rho))
-        tot = ZERO
-        for t, w in self._brute_weights[key].items():
-            tot = tot + wreath_character(self.table, lam, t) * w
-        return tot * Fraction(1, self.hg_size)
+        return self.brute_at_element(lam, self.rep(rho))
 
     # -- block structure of a row label -----------------------------------------------
 
@@ -197,38 +205,29 @@ class SphericalContext:
 # -- classical two-group spherical values ---------------------------------------------
 
 
-_classical_cache: dict = {}
+@cache
+def _classical_buckets(pi: str, rho_hat: Partition) -> dict[Partition, int]:
+    """Per cycle type of h t^-1, the sum of pi(h) over the centralizer
+    subgroup H_n, where t is the doubled-cycle permutation of rho_hat.
+    Zero sums are dropped."""
+    tinv = p_inverse(perm_of_partition(Partition(tuple(2 * p for p in rho_hat))))
+    buckets: dict[Partition, int] = {}
+    for h in hyperoct_perms(rho_hat.size):
+        t = cycle_type(p_compose(h, tinv))
+        buckets[t] = buckets.get(t, 0) + pi_value(pi, h)
+    return {t: w for t, w in buckets.items() if w}
 
 
 def classical_spherical(shape: Partition, pi: str, rho_hat: Partition) -> Fraction:
     """Spherical value of the symmetric-group pair (S_2n, centralizer of a
     fixed-point-free involution) for the linear character pi, at the coset of
-    the doubled-cycle permutation of rho_hat, by direct averaging."""
-    key = (shape, pi, rho_hat)
-    if key in _classical_cache:
-        return _classical_cache[key]
-    two_n = shape.size
-    assert 2 * rho_hat.size == two_n
-    target = perm_of_partition(Partition(tuple(2 * p for p in rho_hat)))
-    tinv = p_inverse(target)
-    total = Fraction(0)
-    perms = hyperoct_perms(rho_hat.size)
-    for h in perms:
-        total += pi_value(pi, h) * sym_character(shape, cycle_type(p_compose(h, tinv)))
-    val = total / len(perms)
-    _classical_cache[key] = val
-    return val
-
-
-def delta_pair_spherical(
-    table: CharacterTable, eta: int, chi: int, x: int, y: int
-) -> CycNum:
-    """Spherical function of (G x G, diagonal, lifted eta) at (x, y)."""
-    group = table.group
-    if table.degrees[eta] != 1:
-        raise GroupError("eta must be linear")
-    val = table.value(eta, group.inv[y]) * table.value(chi, group.mul[group.inv[x]][y])
-    return val * Fraction(1, table.degrees[chi])
+    the doubled-cycle permutation of rho_hat, by direct averaging over H_n,
+    bucketed by cycle type once per (pi, rho_hat)."""
+    assert shape.size == 2 * rho_hat.size
+    total = sum(
+        w * sym_character(shape, t) for t, w in _classical_buckets(pi, rho_hat).items()
+    )
+    return Fraction(total, 2**rho_hat.size * factorial(rho_hat.size))
 
 
 # -- closed-form engine ------------------------------------------------------------------
@@ -350,13 +349,6 @@ def ch_map(
     return SymFuncElem(ctx.merged_names, terms)
 
 
-def basis_ch_image(ctx: SphericalContext, rho: MultiPartition) -> SymFuncElem:
-    """Image of the averaged basis element at rho: the scaled power sum."""
-    return SymFuncElem(
-        ctx.merged_names, {rho: CycNum.rational(_radical_factor(ctx, rho))}
-    )
-
-
 # -- coefficient-extraction engine ---------------------------------------------------------
 
 
@@ -471,7 +463,7 @@ class SphericalTable:
 
     def to_json_obj(self) -> dict:
         return {
-            "format": 1,
+            "format": TABLE_FORMAT,
             "group": self.group_name,
             "xi": self.xi_name,
             "pi": self.pi,
@@ -515,6 +507,8 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
     engines: dict[tuple[int, int], str] = {}
     if engine not in ("brute", "closed", "symfunc"):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine == "brute":
+        ctx.check_brute_work()
     for i, lam in enumerate(ctx.rows):
         if engine == "brute":
             one = ctx.brute_at_element(lam, w_identity(2 * ctx.n))
@@ -581,6 +575,7 @@ class ReconcileReport:
 def reconcile(ctx: SphericalContext) -> ReconcileReport:
     """Compare every engine on every admissible cell, and the characteristic
     image of every brute row against the symmetric-function product."""
+    ctx.check_brute_work()
     cells = []
     row_images = []
     mismatches = []
@@ -651,7 +646,7 @@ def cache_load(cache_dir: str | Path | None, key: str) -> str | None:
         return None
     if not (
         isinstance(obj, dict)
-        and obj.get("format") == 1
+        and obj.get("format") == TABLE_FORMAT
         and all(isinstance(obj.get(k), list) for k in ("rows", "cols", "values"))
         and json.dumps(obj, indent=2, sort_keys=True) + "\n" == payload
     ):

@@ -509,6 +509,32 @@ def irrep_label_set(
     return tuple(results)
 
 
+# -- one pass over the doubled-base subgroup ---------------------------------------
+
+
+def conj_theta_values(theta: PairedChar, hg: list[WreathElement]) -> list[CycNum]:
+    """conj(theta(h)) for every h of hg, in order.  theta takes few distinct
+    values, so equal values share one object."""
+    distinct: dict[CycNum, CycNum] = {}
+    return [distinct.setdefault(v, v) for v in (theta.value(h).conjugate() for h in hg)]
+
+
+def k_type_weights(
+    group: FiniteGroup,
+    hg: list[WreathElement],
+    weights: list[CycNum],
+    x: WreathElement,
+) -> dict[MultiPartition, CycNum]:
+    """One pass over the subgroup: per class type of h x^-1, the sum of the
+    weights of the h of hg with that type.  Zero sums are dropped."""
+    xinv = w_inv(group, x)
+    out: dict[MultiPartition, CycNum] = {}
+    for h, w in zip(hg, weights):
+        t = class_type(group, w_mul(group, h, xinv))
+        out[t] = out.get(t, ZERO) + w
+    return {t: v for t, v in out.items() if v}
+
+
 # -- induced-character decomposition ---------------------------------------------
 
 
@@ -516,12 +542,9 @@ def theta_type_weights(
     group: FiniteGroup, theta: PairedChar, cap_elements: int = 10**6
 ) -> dict[MultiPartition, CycNum]:
     """Per class type of the big wreath product, the sum of conj(theta) over
-    the subgroup elements of that type."""
-    weights: dict[MultiPartition, CycNum] = {}
-    for h in hg_elements(group, theta.n, cap_elements):
-        t = class_type(group, h)
-        weights[t] = weights.get(t, ZERO) + theta.value(h).conjugate()
-    return {t: v for t, v in weights.items() if v}
+    the subgroup elements of that type: the pass over K at the identity."""
+    hg = hg_elements(group, theta.n, cap_elements)
+    return k_type_weights(group, hg, conj_theta_values(theta, hg), w_identity(2 * theta.n))
 
 
 def decompose_induced(
@@ -570,26 +593,6 @@ def decompose_induced(
 # -- Hecke algebra basics ------------------------------------------------------------
 
 
-def hecke_basis_value(
-    group: FiniteGroup,
-    theta: PairedChar,
-    x: WreathElement,
-    hg: list[WreathElement] | None = None,
-    cap_elements: int = 10**6,
-) -> CycNum:
-    """Value at x of the two-sided average e x e; zero iff the whole element
-    vanishes, since the average is supported on the double coset of x."""
-    if hg is None:
-        hg = hg_elements(group, theta.n, cap_elements)
-    xinv = w_inv(group, x)
-    tot = ZERO
-    for h in hg:
-        k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
-        if in_hg(k):
-            tot = tot + theta.value(h).conjugate() * theta.value(k).conjugate()
-    return tot * Fraction(1, len(hg) ** 2)
-
-
 def double_coset(
     group: FiniteGroup, hg: list[WreathElement], x: WreathElement
 ) -> frozenset[WreathElement]:
@@ -631,28 +634,3 @@ def _theta_literal(table, xi, pi, group, x: WreathElement) -> CycNum:
     for i in range(n):
         prod = group.mul[prod][x.base[2 * i]]
     return table.value(xi, prod) * pi_value(pi, x.perm)
-
-
-# -- explicit permutation identities ---------------------------------------------
-
-
-def reversal_element(m: int) -> Perm:
-    """The involution reversing the first 2m-2 points and swapping the last two."""
-    pairs = [(k - 1, 2 * m - k - 2) for k in range(1, m)] + [(2 * m - 2, 2 * m - 1)]
-    return p_from_transpositions(2 * m, pairs)
-
-
-def double_step_element(m: int) -> Perm:
-    """The inverse square of the full 2m-cycle."""
-    full = perm_of_partition(Partition((2 * m,)))
-    sq = p_compose(full, full)
-    return p_inverse(sq)
-
-
-def interleaved_cycle(m: int) -> Perm:
-    """(1,3,...,2m-1)(0,2,...,2m-2) in 0-indexed one-line form."""
-    out = [0] * (2 * m)
-    for i in range(m):
-        out[2 * i] = (2 * i + 2) % (2 * m)
-        out[2 * i + 1] = (2 * i + 3) % (2 * m) if i < m - 1 else 1
-    return tuple(out)

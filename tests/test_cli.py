@@ -145,3 +145,49 @@ def test_selftest_subset(capsys):
 def test_missing_file_is_data_error(capsys):
     assert main(["validate", "--group", "/nonexistent.json",
                  "--table", "/nonexistent2.json"]) == 1
+
+
+def test_nonpositive_n_is_usage_error(capsys):
+    g, t = paths("q8")
+    for n in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spherical", "--group", g, "--table", t, "--xi", "chi2",
+                  "--pi", "triv", "--n", n])
+        assert exc.value.code == 2
+        assert "positive" in capsys.readouterr().err
+
+
+def test_brute_classwork_cap_counts_passes_over_k(capsys):
+    # 2 rows x 2 columns is within the cap, but the brute engine makes
+    # 2 + 1 passes over the 32 elements of K
+    g, t = paths("c2")
+    args = ["--group", g, "--table", t, "--xi", "chi2", "--pi", "triv", "--n", "2",
+            "--cap-classwork", "30"]
+    for cmd in (["spherical", "--engine", "brute"], ["reconcile"]):
+        assert main(cmd + args) == 3
+        assert "cap-classwork" in capsys.readouterr().err
+    assert main(["spherical", "--engine", "symfunc"] + args) == 0
+
+
+def test_cache_key_names_version_and_format(tmp_path, capsys):
+    from wreathsph.spherical import cache_key
+
+    g, t = paths("c2")
+    args = ["spherical", "--group", g, "--table", t, "--xi", "chi2",
+            "--pi", "triv", "--n", "2", "--engine", "brute", "--format", "json"]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
+    # a well-formed entry with a wrong value, under the key without the
+    # package version and the table format
+    planted = json.loads(fresh)
+    planted["values"][0][0] = "99"
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old_key = cache_key(open(g, "rb").read(), open(t, "rb").read(),
+                        "chi2", "triv", 2, "brute")
+    (cache / f"{old_key}.json").write_text(
+        json.dumps(planted, indent=2, sort_keys=True) + "\n"
+    )
+    assert main(args + ["--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == fresh
+    assert len(list(cache.iterdir())) == 2

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from wreathsph.cyclo import CycNum, ONE, ZERO
-from wreathsph.groups import bundled, fuse_classes
-from wreathsph.partitions import MultiPartition, Partition, multipartitions
+from wreathsph.groups import GroupError, bundled, fuse_classes
+from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
 from wreathsph.spherical import (
     SphericalContext,
-    basis_ch_image,
     build_table,
     cache_key,
     cache_load,
@@ -18,15 +17,21 @@ from wreathsph.spherical import (
     classical_spherical,
     coset_order,
     coset_order_brute,
-    delta_pair_spherical,
     reconcile,
     spherical_closed,
     spherical_from_symfunc,
+    _radical_factor,
 )
-from wreathsph.symfunc import SymFuncElem
+from wreathsph.symfunc import SymFuncElem, sym_character
 from wreathsph.wreath import (
     WreathElement,
+    cycle_type,
     hg_elements,
+    hyperoct_perms,
+    p_compose,
+    p_inverse,
+    perm_of_partition,
+    pi_value,
     w_identity,
     w_inv,
     w_mul,
@@ -40,6 +45,22 @@ RNG = random.Random(11)
 def ctx_of(name, xi, pi, n):
     group, table = bundled(name)
     return SphericalContext(group, table, xi, pi, n)
+
+
+def delta_pair_spherical(table, eta, chi, x, y):
+    """Spherical function of (G x G, diagonal, lifted eta) at (x, y)."""
+    group = table.group
+    if table.degrees[eta] != 1:
+        raise GroupError("eta must be linear")
+    val = table.value(eta, group.inv[y]) * table.value(chi, group.mul[group.inv[x]][y])
+    return val * Fraction(1, table.degrees[chi])
+
+
+def basis_ch_image(ctx, rho):
+    """Image of the averaged basis element at rho: the scaled power sum."""
+    return SymFuncElem(
+        ctx.merged_names, {rho: CycNum.rational(_radical_factor(ctx, rho))}
+    )
 
 
 def test_normalization_at_identity():
@@ -174,8 +195,6 @@ def test_ch_map_unit_and_radical():
 def test_ch_map_rejects_illegal_support():
     ctx = ctx_of("c2", 1, "triv", 1)
     bad = MultiPartition([P(), P((1,))])
-    from wreathsph.groups import GroupError
-
     with pytest.raises(GroupError):
         ch_map(ctx, {bad: ONE})
 
@@ -322,3 +341,60 @@ def test_table_serialization_deterministic(tmp_path):
     assert cache_load(tmp_path, key) == payload
     csv = tab.to_csv()
     assert csv.splitlines()[0].startswith("label,")
+
+
+@pytest.mark.parametrize(
+    "config", [("c2", 1, "triv", 2), ("c4", 1, "delta", 1), ("q8", 1, "iota", 1)]
+)
+def test_brute_passes_over_k(monkeypatch, config):
+    # one pass over K per column plus one at the identity, for a whole table
+    # and for a whole reconcile; theta once per element of K per context
+    import wreathsph.wreath as wreath
+
+    counts = {"class_type": 0, "theta": 0}
+    class_type, theta_value = wreath.class_type, wreath.PairedChar.value
+
+    def counting_class_type(group, x):
+        counts["class_type"] += 1
+        return class_type(group, x)
+
+    def counting_theta_value(self, x):
+        counts["theta"] += 1
+        return theta_value(self, x)
+
+    monkeypatch.setattr(wreath, "class_type", counting_class_type)
+    monkeypatch.setattr(wreath.PairedChar, "value", counting_theta_value)
+    for run in (lambda ctx: build_table(ctx, "brute"), reconcile):
+        ctx = ctx_of(*config)
+        counts.update(class_type=0, theta=0)
+        run(ctx)
+        assert counts == {
+            "class_type": (len(ctx.cols) + 1) * ctx.hg_size,
+            "theta": ctx.hg_size,
+        }
+        # the weights are kept: the same table again makes no pass
+        build_table(ctx, "brute")
+        assert counts["class_type"] == (len(ctx.cols) + 1) * ctx.hg_size
+
+
+def direct_classical_spherical(shape, pi, rho_hat):
+    """The (S_2n, H_n) spherical value as the plain average over H_n."""
+    target = perm_of_partition(P(tuple(2 * p for p in rho_hat)))
+    tinv = p_inverse(target)
+    perms = hyperoct_perms(rho_hat.size)
+    total = Fraction(0)
+    for h in perms:
+        total += pi_value(pi, h) * sym_character(shape, cycle_type(p_compose(h, tinv)))
+    return total / len(perms)
+
+
+def test_classical_spherical_matches_direct_average():
+    for n in range(1, 5):
+        for shape in partitions_of(2 * n):
+            for pi in ("triv", "delta", "iota", "delta-iota"):
+                for rho_hat in partitions_of(n):
+                    got = classical_spherical(shape, pi, rho_hat)
+                    assert type(got) is Fraction
+                    assert got == direct_classical_spherical(shape, pi, rho_hat), (
+                        shape, pi, rho_hat
+                    )

@@ -17,14 +17,11 @@ from wreathsph.wreath import (
     cycle_type,
     decompose_induced,
     double_coset,
-    double_step_element,
     epsilon_sign,
-    hecke_basis_value,
     hg_elements,
     hyperoct_decompose,
     hyperoct_perms,
     in_hg,
-    interleaved_cycle,
     irrep_label_set,
     k_basis_sg2,
     p_compose,
@@ -33,7 +30,6 @@ from wreathsph.wreath import (
     p_inverse,
     perm_of_partition,
     pi_value,
-    reversal_element,
     theta_type_weights,
     type_class_size,
     w_embed,
@@ -55,6 +51,39 @@ def random_element(group, n, rng=RNG):
     perm = list(range(n))
     rng.shuffle(perm)
     return WreathElement(base, tuple(perm))
+
+
+def reversal_element(m):
+    """The involution reversing the first 2m-2 points and swapping the last two."""
+    pairs = [(k - 1, 2 * m - k - 2) for k in range(1, m)] + [(2 * m - 2, 2 * m - 1)]
+    return p_from_transpositions(2 * m, pairs)
+
+
+def double_step_element(m):
+    """The inverse square of the full 2m-cycle."""
+    full = perm_of_partition(P((2 * m,)))
+    return p_inverse(p_compose(full, full))
+
+
+def interleaved_cycle(m):
+    """(1,3,...,2m-1)(0,2,...,2m-2) in 0-indexed one-line form."""
+    out = [0] * (2 * m)
+    for i in range(m):
+        out[2 * i] = (2 * i + 2) % (2 * m)
+        out[2 * i + 1] = (2 * i + 3) % (2 * m) if i < m - 1 else 1
+    return tuple(out)
+
+
+def hecke_basis_value(group, theta, x, hg):
+    """Value at x of the two-sided average e x e; zero iff the whole element
+    vanishes, since the average is supported on the double coset of x."""
+    xinv = w_inv(group, x)
+    tot = ZERO
+    for h in hg:
+        k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
+        if in_hg(k):
+            tot = tot + theta.value(h).conjugate() * theta.value(k).conjugate()
+    return tot * Fraction(1, len(hg) ** 2)
 
 
 def test_group_laws():
