@@ -32,7 +32,9 @@ from .spherical import (
     cache_key,
     cache_load,
     cache_store,
+    csv_label,
     reconcile,
+    table_csv,
 )
 from .wreath import PI_NAMES, decompose_induced
 
@@ -133,11 +135,7 @@ def cmd_decompose(args) -> int:
     else:
         lines = ["label,multiplicity"]
         for lam, m in items:
-            lab = ";".join(
-                f"{k}:{'+'.join(map(str, v))}"
-                for k, v in lam.to_json(table.names).items()
-            )
-            lines.append(f"{lab},{m}")
+            lines.append(f"{csv_label(lam.to_json(table.names))},{m}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -169,18 +167,9 @@ def _table_payload(args, group, table) -> str:
 def cmd_spherical(args) -> int:
     group, table = _load_pair(args)
     payload = _table_payload(args, group, table)
-    if args.format == "json":
-        _emit(payload, args.out)
-    else:
-        obj = json.loads(payload)
-
-        def label(d: dict) -> str:
-            return ";".join(f"{k}:{'+'.join(map(str, v))}" for k, v in d.items()) or "1"
-
-        lines = [",".join(["label"] + [label(c) for c in obj["cols"]])]
-        for rl, row in zip(obj["rows"], obj["values"]):
-            lines.append(",".join([label(rl)] + row))
-        _emit("\n".join(lines) + "\n", args.out)
+    # csv is formatted from the payload, which may be a cache hit
+    text = payload if args.format == "json" else table_csv(json.loads(payload))
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -119,6 +119,7 @@ class SphericalContext:
             raise CapExceeded("cap-classwork", caps.max_classwork, work)
         self.merged_names = tuple(f"R{i+1}" for i in range(len(self.fusion.merged)))
         self._weights: dict[WreathElement, dict[MultiPartition, CycNum]] = {}
+        self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
         self._nu: dict[int, int] = {}
 
     # -- shared precomputations -------------------------------------------------
@@ -148,6 +149,15 @@ class SphericalContext:
     def rep(self, rho: MultiPartition) -> WreathElement:
         return coset_rep(self.group, self.fusion, rho)
 
+    @cached_property
+    def col_weights(self) -> dict[MultiPartition, int]:
+        """Per column, the double-coset order times the radical factor: the
+        scale between a value at rho and its coefficient of P_rho under CH."""
+        return {
+            rho: coset_order(self, rho) * _radical_factor(self, rho) for rho in self.cols
+        }
+
+    @cached_property
     def unsigned_partner(self) -> "SphericalContext":
         """The context for the unsigned companion character (same Hecke algebra)."""
         pi0 = PI_PARTNER_UNSIGNED[self.pi]
@@ -259,7 +269,7 @@ def spherical_closed(
         # sign-twisted companion: value is the sign of the representative's
         # permutation part times the unsigned value at the transposed label
         sgn = (-1) ** len(rho.hat())
-        val = spherical_closed(ctx.unsigned_partner(), lam.transpose(), rho)
+        val = spherical_closed(ctx.unsigned_partner, lam.transpose(), rho)
         return None if val is None else val * sgn
     rep, partner, _ = blocks[0]
     table, group, fusion = ctx.table, ctx.group, ctx.fusion
@@ -338,14 +348,13 @@ def ch_map(
 ) -> SymFuncElem:
     """Image of a Hecke-algebra element given by its values at the chosen
     double-coset representatives."""
-    legal = set(ctx.cols)
     terms: dict[MultiPartition, CycNum] = {}
     for rho, v in values.items():
         if not v:
             continue
-        if rho not in legal:
+        if rho not in ctx.col_weights:
             raise GroupError(f"value supported on an illegal coset label {rho}")
-        terms[rho] = v * Fraction(coset_order(ctx, rho) * _radical_factor(ctx, rho))
+        terms[rho] = v * Fraction(ctx.col_weights[rho])
     return SymFuncElem(ctx.merged_names, terms)
 
 
@@ -380,46 +389,56 @@ def _push_single(
     return src.change_alphabet(coeff, ctx.merged_names)
 
 
+def _block_factor(
+    ctx: SphericalContext, rep: int, partner: int, shape: Partition
+) -> SymFuncElem:
+    """The pushed classical factor of one character block, with its scalar
+    (pi = triv or iota; the sign twists go through the unsigned partner)."""
+    gsize, d = ctx.group.order, ctx.table.degrees[rep]
+    if partner == rep:
+        m = shape.size // 2
+        if ctx.pi == "triv":
+            if ctx.nu(rep) == 1:
+                mu = _halve(shape)
+                f = jack_p_expr(mu, 2)
+                scalar = Fraction(gsize, d) ** m
+            else:
+                mu = _halve(shape.transpose())
+                f = psi_twist(jack_p_expr(mu.transpose(), Fraction(1, 2)), Fraction(1, 2))
+                scalar = Fraction(2 * gsize, d) ** m
+        else:  # iota
+            mu = _undouble(shape if ctx.nu(rep) == 1 else shape.transpose())
+            f = schurq_p_expr(mu)
+            hbar = Fraction(factorial(m), shifted_tableau_count(mu))
+            scalar = Fraction(gsize, d) ** m * hbar
+        factor = _push_single(ctx, rep, f, "literal" if ctx.sign == 1 else "all")
+    else:
+        m = shape.size
+        f = schur_p_expr(shape)
+        scalar = Fraction(gsize, d) ** m * shape.hook_product()
+        factor = _push_single(ctx, rep, f, "literal" if ctx.sign == 1 else "none")
+    return factor.scale(scalar)
+
+
 def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
     """The predicted image (1/|subgroup|) CH(spherical function) as a product
-    of classical symmetric functions, one factor per character block."""
+    of classical symmetric functions, one factor per character block.  Each
+    factor is pushed once per context and block, keyed by (rep, lam[rep])."""
     if ctx.pi in PI_PARTNER_UNSIGNED:
-        base = ch_image_product(ctx.unsigned_partner(), lam.transpose())
+        base = ch_image_product(ctx.unsigned_partner, lam.transpose())
         terms = {
             k: v * Fraction((-1) ** len(k.hat())) for k, v in base.terms.items()
         }
         return SymFuncElem(ctx.merged_names, terms)
-    table = ctx.table
-    result = SymFuncElem.one(ctx.merged_names)
-    gsize = ctx.group.order
+    result = None
     for rep, partner, _w in ctx.row_blocks(lam):
-        d = table.degrees[rep]
-        if partner == rep:
-            shape = lam[rep]
-            m = shape.size // 2
-            if ctx.pi == "triv":
-                if ctx.nu(rep) == 1:
-                    mu = _halve(shape)
-                    f = jack_p_expr(mu, 2)
-                    scalar = Fraction(gsize, d) ** m
-                else:
-                    mu = _halve(shape.transpose())
-                    f = psi_twist(jack_p_expr(mu.transpose(), Fraction(1, 2)), Fraction(1, 2))
-                    scalar = Fraction(2 * gsize, d) ** m
-            else:  # iota
-                mu = _undouble(shape if ctx.nu(rep) == 1 else shape.transpose())
-                f = schurq_p_expr(mu)
-                hbar = Fraction(factorial(m), shifted_tableau_count(mu))
-                scalar = Fraction(gsize, d) ** m * hbar
-            factor = _push_single(ctx, rep, f, "literal" if ctx.sign == 1 else "all")
-        else:
-            shape = lam[rep]
-            m = shape.size
-            f = schur_p_expr(shape)
-            scalar = Fraction(gsize, d) ** m * shape.hook_product()
-            factor = _push_single(ctx, rep, f, "literal" if ctx.sign == 1 else "none")
-        result = result * factor.scale(scalar)
-    return result
+        key = (rep, lam[rep])
+        factor = ctx._factors.get(key)
+        if factor is None:
+            factor = ctx._factors[key] = _block_factor(ctx, rep, partner, lam[rep])
+        result = factor if result is None else result * factor
+    # only the empty row (n = 0) has no blocks
+    return SymFuncElem.one(ctx.merged_names) if result is None else result
 
 
 def spherical_from_symfunc(
@@ -430,9 +449,7 @@ def spherical_from_symfunc(
     out = {}
     for rho in ctx.cols:
         c = rhs.coefficient(rho)
-        out[rho] = c * Fraction(
-            ctx.hg_size, coset_order(ctx, rho) * _radical_factor(ctx, rho)
-        )
+        out[rho] = c * Fraction(ctx.hg_size, ctx.col_weights[rho])
     return out
 
 
@@ -450,7 +467,7 @@ class SphericalTable:
     rows: tuple[MultiPartition, ...]
     cols: tuple[MultiPartition, ...]
     values: dict[tuple[int, int], CycNum]
-    engines: dict[tuple[int, int], str]
+    engine: str
 
     def value(self, i: int, j: int) -> CycNum:
         return self.values[(i, j)]
@@ -474,37 +491,34 @@ class SphericalTable:
                 [str(self.values[(i, j)]) for j in range(len(self.cols))]
                 for i in range(len(self.rows))
             ],
-            "engines": [
-                [self.engines[(i, j)] for j in range(len(self.cols))]
-                for i in range(len(self.rows))
-            ],
+            "engines": [[self.engine] * len(self.cols) for _ in self.rows],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        def label(d: dict) -> str:
-            return ";".join(f"{k}:{'+'.join(map(str, v))}" for k, v in d.items()) or "1"
+        return table_csv(self.to_json_obj())
 
-        lines = [
-            ",".join(
-                ["label"]
-                + [label(self.col_label_json(j)) for j in range(len(self.cols))]
-            )
-        ]
-        for i in range(len(self.rows)):
-            cells = [label(self.row_label_json(i))] + [
-                str(self.values[(i, j)]) for j in range(len(self.cols))
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+
+def csv_label(label: dict) -> str:
+    """A row or column label, given as its JSON object, as one CSV field:
+    name:parts, parts joined by '+', names by ';'; "1" when empty."""
+    return ";".join(f"{k}:{'+'.join(map(str, v))}" for k, v in label.items()) or "1"
+
+
+def table_csv(obj: dict) -> str:
+    """The CSV form of a table's JSON object: a header of column labels,
+    then one line per row."""
+    lines = [",".join(["label"] + [csv_label(c) for c in obj["cols"]])]
+    for row_label, row in zip(obj["rows"], obj["values"]):
+        lines.append(",".join([csv_label(row_label)] + row))
+    return "\n".join(lines) + "\n"
 
 
 def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
     """Compute the full table of spherical values with the requested engine."""
     values: dict[tuple[int, int], CycNum] = {}
-    engines: dict[tuple[int, int], str] = {}
     if engine not in ("brute", "closed", "symfunc"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "brute":
@@ -527,7 +541,6 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
                 values[(i, j)] = v
             else:
                 values[(i, j)] = sym_vals[rho]
-            engines[(i, j)] = engine
     return SphericalTable(
         ctx.group.name,
         ctx.table.names[ctx.xi],
@@ -538,7 +551,7 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
         ctx.rows,
         ctx.cols,
         values,
-        engines,
+        engine,
     )
 
 

@@ -263,7 +263,15 @@ def test_ch_image_product_grading_and_zonal_case():
 
 
 def test_symfunc_engine_matches_brute():
-    for name, xi, pi, n in (("c2", 1, "triv", 2), ("q8", 1, "iota", 1)):
+    # the last three go through the unsigned partner and have rows of
+    # several blocks; in the last, rows share pushed block factors
+    for name, xi, pi, n in (
+        ("c2", 1, "triv", 2),
+        ("q8", 1, "iota", 1),
+        ("c4", 1, "delta", 2),
+        ("c3", 1, "delta-iota", 2),
+        ("c4", 0, "delta-iota", 2),
+    ):
         ctx = ctx_of(name, xi, pi, n)
         for lam in ctx.rows:
             vals = spherical_from_symfunc(ctx, lam)
@@ -293,6 +301,53 @@ def test_reconcile_extra_configurations():
         ctx = ctx_of(name, xi, pi, n)
         report = reconcile(ctx)
         assert report.ok(), (name, xi, pi, n, report.mismatches[:2])
+
+
+@pytest.mark.parametrize(
+    "config", [("q8", 1, "triv", 2), ("c4", 2, "delta", 2), ("c4", 0, "delta-iota", 2)]
+)
+def test_symfunc_work_once_per_context(monkeypatch, config):
+    # one push per distinct (block rep, lam[rep]) over the rows, one
+    # coset_order per column, and one partner context; nothing for a
+    # second table on the same context
+    import wreathsph.spherical as spherical
+
+    counts = {"push": 0, "coset_order": 0, "context": 0}
+    change_alphabet = SymFuncElem.change_alphabet
+    coset_order_, fuse_classes_ = spherical.coset_order, spherical.fuse_classes
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        SymFuncElem, "change_alphabet", counting("push", change_alphabet)
+    )
+    monkeypatch.setattr(spherical, "coset_order", counting("coset_order", coset_order_))
+    monkeypatch.setattr(spherical, "fuse_classes", counting("context", fuse_classes_))
+    ctx = ctx_of(*config)
+    twisted = ctx.pi in spherical.PI_PARTNER_UNSIGNED
+    tab = build_table(ctx, "symfunc")
+    base = ctx.unsigned_partner if twisted else ctx
+    labels = [lam.transpose() if twisted else lam for lam in ctx.rows]
+    pushed = {(rep, lam[rep]) for lam in labels for rep, _, _ in base.row_blocks(lam)}
+    # the rows share factors, so a push per row block would be seen
+    assert len(pushed) < sum(len(base.row_blocks(lam)) for lam in labels)
+    expect = {
+        "push": len(pushed),
+        "coset_order": len(ctx.cols),
+        "context": 2 if twisted else 1,
+    }
+    assert counts == expect
+    # a second table, and every closed cell, reuse the same work and partner
+    assert build_table(ctx, "symfunc").values == tab.values
+    for lam in ctx.rows:
+        for rho in ctx.cols:
+            spherical_closed(ctx, lam, rho)
+    assert counts == expect
 
 
 def test_spherical_orthogonality():
@@ -327,7 +382,7 @@ def test_engines_agree_in_build_table():
     closed = build_table(ctx, "closed")
     sym = build_table(ctx, "symfunc")
     assert brute.values == closed.values == sym.values
-    assert {e for e in brute.engines.values()} == {"brute"}
+    assert brute.engine == "brute"
 
 
 def test_table_serialization_deterministic(tmp_path):
