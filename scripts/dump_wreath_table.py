@@ -5,13 +5,13 @@ Usage: python scripts/dump_wreath_table.py GROUP N [OUT.json]
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wreathsph.groups import bundled
+from wreathsph.spherical import canonical_json
 from wreathsph.wreath import wreath_table_json
 
 
@@ -21,7 +21,7 @@ def main() -> int:
         return 2
     name, n = sys.argv[1], int(sys.argv[2])
     group, table = bundled(name)
-    payload = json.dumps(wreath_table_json(table, n), indent=2, sort_keys=True) + "\n"
+    payload = canonical_json(wreath_table_json(table, n))
     if len(sys.argv) > 3:
         Path(sys.argv[3]).write_text(payload)
         print("wrote", sys.argv[3])

@@ -13,8 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wreathsph.groups import bundled, linear_characters
 from wreathsph.spherical import SphericalContext, build_table
+from wreathsph.wreath import PI_NAMES
 
-ALL_PI = ("triv", "delta", "iota", "delta-iota")
 DEGREES = {"c1": 3, "c2": 3, "c3": 2, "c4": 2, "c5": 1, "c6": 1, "q8": 1}
 
 
@@ -28,7 +28,7 @@ def main() -> int:
     for name in names:
         group, table = bundled(name)
         for xi in linear_characters(table):
-            for pi in ALL_PI:
+            for pi in PI_NAMES:
                 for n in range(1, DEGREES[name] + 1):
                     ctx = SphericalContext(group, table, xi, pi, n)
                     tab = build_table(ctx, "brute")

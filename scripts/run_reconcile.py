@@ -16,8 +16,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wreathsph.groups import bundled, linear_characters
 from wreathsph.spherical import SphericalContext, reconcile
+from wreathsph.wreath import PI_NAMES
 
-ALL_PI = ("triv", "delta", "iota", "delta-iota")
 
 BUDGETS = {  # group name -> max degree worth running exhaustively
     "c1": 3,
@@ -36,7 +36,7 @@ def main() -> int:
     for name, nmax in BUDGETS.items():
         group, table = bundled(name)
         for xi in linear_characters(table):
-            for pi in ALL_PI:
+            for pi in PI_NAMES:
                 for n in range(1, min(nmax, cap) + 1):
                     t0 = time.time()
                     ctx = SphericalContext(group, table, xi, pi, n)

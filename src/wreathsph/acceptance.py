@@ -15,6 +15,7 @@ from .groups import (
     bundled,
     fuse_classes,
     linear_characters,
+    orthogonality_failures,
     twisted_indicator,
 )
 from .partitions import (
@@ -39,6 +40,7 @@ from .spherical import (
     reconcile,
 )
 from .wreath import (
+    PI_NAMES,
     PairedChar,
     WreathElement,
     coset_label_set,
@@ -49,6 +51,7 @@ from .wreath import (
     in_hg,
     irrep_label_set,
     k_basis_sg2,
+    k_order,
     perm_of_partition,
     type_class_size,
     w_identity,
@@ -59,9 +62,6 @@ from .wreath import (
     wreath_dim,
     wreath_order,
 )
-
-ALL_PI = ("triv", "delta", "iota", "delta-iota")
-
 
 @dataclass
 class CriterionResult:
@@ -143,7 +143,7 @@ def criterion_3() -> CriterionResult:
             MultiPartition([doubling(mu).transpose()]) for mu in strict_partitions(n)
         },
     }
-    for pi in ALL_PI:
+    for pi in PI_NAMES:
         for n in (1, 2, 3):
             dec = decompose_induced(table, PairedChar(table, 0, pi, n))
             if set(dec.values()) != {1}:
@@ -157,7 +157,7 @@ def _gelfand_configs():
     for name, ns in (("c2", (1, 2, 3)), ("c3", (1, 2)), ("c4", (1, 2)), ("q8", (1, 2))):
         group, table = bundled(name)
         for xi in linear_characters(table):
-            for pi in ALL_PI:
+            for pi in PI_NAMES:
                 for n in ns:
                     yield name, group, table, xi, pi, n
 
@@ -174,9 +174,7 @@ def criterion_4() -> CriterionResult:
             failures.append(f"{name}/{table.names[xi]}/{pi}/n={n}: multiplicity > 1")
         if set(dec) != expected:
             failures.append(f"{name}/{table.names[xi]}/{pi}/n={n}: support mismatch")
-        index = wreath_order(group, 2 * n) // (
-            group.order**n * 2**n * factorial(n)
-        )
+        index = wreath_order(group, 2 * n) // k_order(group, n)
         if sum(wreath_dim(table, lam) for lam in dec) != index:
             failures.append(f"{name}/{table.names[xi]}/{pi}/n={n}: dimension sum")
     return _result(4, "induced-character decompositions, n up to 2 (3 for c2)", t0, failures)
@@ -204,7 +202,7 @@ def criterion_5() -> CriterionResult:
                         pairs.append((h, k))
                 pair_cache[rho] = pairs
             for xi in lin:
-                for pi in ALL_PI:
+                for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
                     legal = set(
                         coset_label_set(table, fus0, xi, epsilon_sign(pi), n)
@@ -256,7 +254,7 @@ def criterion_6() -> CriterionResult:
         group, table = bundled(name)
         for xi in linear_characters(table):
             fus = fuse_classes(group, table, xi)
-            for pi in ALL_PI:
+            for pi in PI_NAMES:
                 for n in (1, 2, 3, 4):
                     a = len(irrep_label_set(table, fus, xi, pi, n))
                     b = len(coset_label_set(table, fus, xi, epsilon_sign(pi), n))
@@ -270,12 +268,12 @@ def criterion_6() -> CriterionResult:
 def _reconcile_configs():
     out = []
     for xi in (0, 1):
-        for pi in ALL_PI:
+        for pi in PI_NAMES:
             for n in (1, 2):
                 out.append(("c2", xi, pi, n))
     for pi in ("triv", "iota"):
         out.append(("q8", 1, pi, 1))
-    for pi in ALL_PI:
+    for pi in PI_NAMES:
         for n in (1, 2, 3):
             out.append(("c1", 0, pi, n))
     return out
@@ -331,7 +329,7 @@ def criterion_8() -> CriterionResult:
     failures = []
     group, table = bundled("c2")
     xi = 1  # the sign character
-    for pi in ALL_PI:
+    for pi in PI_NAMES:
         transposed = epsilon_sign(pi) == -1
         for n in (2, 3, 4):
             ctx = SphericalContext(group, table, xi, pi, n)
@@ -423,8 +421,6 @@ def criterion_10() -> CriterionResult:
 
     # orthogonality of every wreath character table constructed here:
     # degree up to 3 over the groups of order at most 8, degree 2 beyond
-    from .cyclo import sum_products
-
     for name, nmax in (
         ("c2", 3), ("c3", 3), ("c4", 3), ("c5", 3), ("c6", 3), ("q8", 3),
         ("gl2f3", 2),
@@ -433,26 +429,19 @@ def criterion_10() -> CriterionResult:
         for n in range(1, nmax + 1):
             lams = multipartitions(len(table.rows), n)
             taus = multipartitions(len(group.classes), n)
-            rows = {l: wreath_character_row(table, l) for l in lams}
-            vals = {(l, tau): rows[l].get(tau, ZERO) for l in lams for tau in taus}
-            conj = {k: v.conjugate() for k, v in vals.items()}
-            sizes = {tau: type_class_size(group, tau) for tau in taus}
+            rows = []
+            for lam in lams:
+                row = wreath_character_row(table, lam)
+                rows.append([row.get(tau, ZERO) for tau in taus])
+            sizes = [type_class_size(group, tau) for tau in taus]
             order = wreath_order(group, n)
-            if sum(sizes.values()) != order:
+            if sum(sizes) != order:
                 failures.append(f"{name}/n={n}: class sizes")
-            for i, a in enumerate(lams):
-                for b in lams[i:]:
-                    tot = sum_products(
-                        (vals[(a, tau)], conj[(b, tau)], sizes[tau]) for tau in taus
-                    )
-                    if tot != CycNum.rational(order if a == b else 0):
-                        failures.append(f"{name}/n={n}: row orthogonality {a} {b}")
-            for i, c in enumerate(taus):
-                for d in taus[i:]:
-                    tot = sum_products((vals[(l, c)], conj[(l, d)], 1) for l in lams)
-                    want = order // sizes[c] if c == d else 0
-                    if tot != CycNum.rational(want):
-                        failures.append(f"{name}/n={n}: column orthogonality")
+            for kind, i, j, _ in orthogonality_failures(rows, sizes, order):
+                if kind == "row":
+                    failures.append(f"{name}/n={n}: row orthogonality {lams[i]} {lams[j]}")
+                else:
+                    failures.append(f"{name}/n={n}: column orthogonality")
 
     # normalization at the identity element for every engine-admissible row
     for name, xi, pi, n in (("c2", 1, "triv", 2), ("c2", 1, "iota", 2),
@@ -511,4 +500,6 @@ ALL_CRITERIA = (
 
 def run_criteria(numbers=None) -> list[CriterionResult]:
     chosen = numbers or range(1, len(ALL_CRITERIA) + 1)
+    if not all(1 <= i <= len(ALL_CRITERIA) for i in chosen):
+        raise ValueError(f"criteria are numbered 1 to {len(ALL_CRITERIA)}, got {list(chosen)}")
     return [ALL_CRITERIA[i - 1]() for i in chosen]

@@ -15,23 +15,25 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .acceptance import run_criteria
+from .acceptance import ALL_CRITERIA, run_criteria
 from .groups import (
+    Caps,
     CapExceeded,
     GroupError,
     linear_characters,
     load_group,
     load_table,
+    twisted_indicator,
     validate_table,
 )
 from .spherical import (
     TABLE_FORMAT,
-    Caps,
     SphericalContext,
     build_table,
     cache_key,
     cache_load,
     cache_store,
+    canonical_json,
     csv_label,
     reconcile,
     table_csv,
@@ -89,8 +91,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_nu2(args) -> int:
-    from .groups import twisted_indicator
-
     group, table = _load_pair(args)
     lin = linear_characters(table)
     matrix = [
@@ -104,7 +104,7 @@ def cmd_nu2(args) -> int:
             "cols": [table.names[xi] for xi in lin],
             "matrix": matrix,
         }
-        _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(canonical_json(obj), args.out)
     else:
         lines = ["chi," + ",".join(table.names[xi] for xi in lin)]
         for chi, row in enumerate(matrix):
@@ -116,9 +116,7 @@ def cmd_nu2(args) -> int:
 def cmd_decompose(args) -> int:
     group, table = _load_pair(args)
     ctx = _context(args, group, table)
-    dec = decompose_induced(
-        table, ctx.theta, ctx.caps.max_elements, ctx.caps.max_classwork
-    )
+    dec = decompose_induced(table, ctx.theta, ctx.caps)
     items = sorted(dec.items(), key=lambda kv: kv[0].sort_key())
     if args.format == "json":
         obj = {
@@ -131,7 +129,7 @@ def cmd_decompose(args) -> int:
                 for lam, m in items
             ],
         }
-        _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(canonical_json(obj), args.out)
     else:
         lines = ["label,multiplicity"]
         for lam, m in items:
@@ -183,11 +181,15 @@ def cmd_reconcile(args) -> int:
     return EXIT_OK
 
 
+def _criterion_numbers(text: str) -> list[int]:
+    numbers = [int(v) if v.strip().isdigit() else 0 for v in text.split(",")]
+    if not all(1 <= v <= len(ALL_CRITERIA) for v in numbers):
+        raise argparse.ArgumentTypeError(f"criteria are numbered 1 to {len(ALL_CRITERIA)}")
+    return numbers
+
+
 def cmd_selftest(args) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = [int(v) for v in args.criteria.split(",")]
-    results = run_criteria(numbers)
+    results = run_criteria(args.criteria)
     for r in results:
         print(r.line())
     return EXIT_OK if all(r.ok for r in results) else EXIT_MATH
@@ -211,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", required=True, type=_positive_int)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cap-elements", type=int, default=10**6)
-        p.add_argument("--cap-classwork", type=int, default=10**7)
+        p.add_argument("--cap-elements", type=int, default=Caps.max_elements)
+        p.add_argument("--cap-classwork", type=int, default=Caps.max_classwork)
 
     p = sub.add_parser("validate", help="check group axioms and table orthogonality")
     add_io(p)
@@ -242,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconcile)
 
     p = sub.add_parser("selftest", help="run the bundled acceptance criteria")
-    p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
+    p.add_argument(
+        "--criteria",
+        type=_criterion_numbers,
+        help="comma-separated criterion numbers (default all)",
+    )
     p.set_defaults(func=cmd_selftest)
 
     return parser

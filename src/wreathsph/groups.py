@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .cyclo import CycNum, ONE, ZERO, parse_cyc
+from .cyclo import CycNum, ONE, ZERO, parse_cyc, sum_products
 
 
 class GroupError(Exception):
@@ -29,6 +29,14 @@ class CapExceeded(Exception):
         self.limit = limit
         self.actual = actual
         super().__init__(f"cap {cap_name} exceeded: needed {actual}, limit {limit}")
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Enumeration limits; exceeding one raises CapExceeded."""
+
+    max_elements: int = 10**6
+    max_classwork: int = 10**7
 
 
 class FiniteGroup:
@@ -100,16 +108,6 @@ class FiniteGroup:
         for x in xs:
             out = self.mul[out][x]
         return out
-
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = self.mul[y][x]
-            k += 1
-        return k
-
-    def num_classes(self) -> int:
-        return len(self.classes)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -184,9 +182,6 @@ class CharacterTable:
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
 
-    def num_rows(self) -> int:
-        return len(self.rows)
-
     def value(self, row: int, element: int) -> CycNum:
         return self.rows[row][self.group.class_of[element]]
 
@@ -213,6 +208,24 @@ class CharacterTable:
         return f"CharacterTable({self.group.name}, {len(self.rows)} rows)"
 
 
+def orthogonality_failures(rows, sizes, order: int):
+    """Each failing relation of a character table, rows[i][c] at a class of
+    size sizes[c]: ("row", i, j, sum_c sizes[c] rows[i][c] conj(rows[j][c]))
+    when that is not order * delta_ij, then ("column", c, d, sum_i rows[i][c]
+    conj(rows[i][d])) when that is not order / sizes[c] * delta_cd."""
+    conj = [[v.conjugate() for v in row] for row in rows]
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            tot = sum_products(zip(rows[i], conj[j], sizes))
+            if tot != CycNum.rational(order if i == j else 0):
+                yield "row", i, j, tot
+    for c in range(len(sizes)):
+        for d in range(c, len(sizes)):
+            tot = sum_products((row[c], crow[d], 1) for row, crow in zip(rows, conj))
+            if tot != CycNum.rational(order // sizes[c] if c == d else 0):
+                yield "column", c, d, tot
+
+
 def validate_table(group: FiniteGroup, table: CharacterTable) -> list[str]:
     """Exact orthogonality and degree checks; returns a list of violations."""
     problems = []
@@ -221,24 +234,11 @@ def validate_table(group: FiniteGroup, table: CharacterTable) -> list[str]:
         problems.append(f"row count {len(table.rows)} != class count {k}")
         return problems
     sizes = [len(c) for c in group.classes]
-    # row orthogonality
-    for i in range(k):
-        for j in range(i, k):
-            tot = ZERO
-            for c in range(k):
-                tot = tot + table.rows[i][c] * table.rows[j][c].conjugate() * sizes[c]
-            want = group.order if i == j else 0
-            if tot != CycNum.rational(want):
-                problems.append(f"row orthogonality fails at rows ({i},{j}): {tot}")
-    # column orthogonality
-    for c in range(k):
-        for d in range(c, k):
-            tot = ZERO
-            for i in range(k):
-                tot = tot + table.rows[i][c] * table.rows[i][d].conjugate()
-            want = group.centralizer_orders[c] if c == d else 0
-            if tot != CycNum.rational(want):
-                problems.append(f"column orthogonality fails at classes ({c},{d}): {tot}")
+    for kind, i, j, tot in orthogonality_failures(table.rows, sizes, group.order):
+        if kind == "row":
+            problems.append(f"row orthogonality fails at rows ({i},{j}): {tot}")
+        else:
+            problems.append(f"column orthogonality fails at classes ({i},{j}): {tot}")
     degsum = sum(
         (table.rows[i][group.class_of[0]] ** 2 for i in range(k)), start=ZERO
     )
@@ -330,12 +330,6 @@ class ClassFusion:
     row_partner: tuple[int, ...]  # row index of conj(chi) * eta per row
     eta_reps: tuple[int, ...]  # chosen representative rows, one per pair
     stats: dict
-
-    def merged_index_of_class(self, class_index: int) -> int:
-        for i, m in enumerate(self.merged):
-            if class_index in m.classes:
-                return i
-        raise KeyError(class_index)
 
 
 def fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFusion:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -58,13 +57,6 @@ class Partition:
 
     def __str__(self):
         return "+".join(str(p) for p in self.parts)
-
-    @staticmethod
-    def parse(text: str) -> "Partition":
-        text = text.strip()
-        if not text:
-            return Partition()
-        return Partition(int(p) for p in text.split("+"))
 
     def mult(self, i: int) -> int:
         return sum(1 for p in self.parts if p == i)
@@ -148,10 +140,6 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if p.is_odd())
 
 
-def even_partitions(n: int) -> tuple[Partition, ...]:
-    return tuple(p for p in partitions_of(n) if p.is_even())
-
-
 def frobenius_coords(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Arm and leg lengths along the main diagonal."""
     cols = lam.transpose().parts
@@ -199,11 +187,6 @@ def shifted_tableau_count(mu: Partition) -> int:
     return total
 
 
-def shifted_hook_product(mu: Partition) -> Fraction:
-    """n! / (number of standard shifted tableaux)."""
-    return Fraction(factorial(mu.size), shifted_tableau_count(mu))
-
-
 def glaisher(mu: Partition) -> Partition:
     """The classical bijection from strict to odd partitions:
     a part m = 2^a * b with b odd becomes 2^a copies of b."""
@@ -217,14 +200,6 @@ def glaisher(mu: Partition) -> Partition:
             a += 1
         parts.extend([m] * (1 << a))
     return Partition(sorted(parts, reverse=True))
-
-
-def even_odd_split(lam: Partition) -> tuple[Partition, Partition]:
-    """Split a partition into its even parts and its odd parts."""
-    return (
-        Partition(p for p in lam.parts if p % 2 == 0),
-        Partition(p for p in lam.parts if p % 2 == 1),
-    )
 
 
 class MultiPartition:
@@ -304,27 +279,15 @@ def multipartitions(num_slots: int, n: int) -> tuple[MultiPartition, ...]:
 
 @cache
 def _multipartitions(num_slots: int, n: int) -> tuple[MultiPartition, ...]:
-    def gen(slot: int, rest: int):
-        if slot == num_slots - 1:
-            for p in partitions_of(rest):
-                yield (p,)
-            return
-        for w in range(rest + 1):
-            for p in partitions_of(w):
-                for tail in gen(slot + 1, rest - w):
-                    yield (p,) + tail
-
-    if num_slots == 0:
-        return (MultiPartition(()),) if n == 0 else ()
-    out = [MultiPartition(t) for t in gen(0, n)]
-    out.sort(key=MultiPartition.sort_key)
-    return tuple(out)
+    return multipartitions_constrained((partitions_of,) * num_slots, n)
 
 
 def multipartitions_constrained(families, n: int) -> tuple[MultiPartition, ...]:
-    """Multipartitions of weight n where slot i draws from families[i].
+    """Multipartitions of weight n where slot i draws from families[i],
+    ordered by sort key.
 
-    families[i] is a callable w -> iterable of Partitions of weight w.
+    families[i](w) lists the choices of slot i at weight w: the slot weights
+    add up to n.  A choice is usually a Partition of w, but need not be.
     """
     num = len(families)
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .cyclo import CycNum, ONE, ZERO
 from .groups import (
+    Caps,
     CapExceeded,
     CharacterTable,
     FiniteGroup,
@@ -61,6 +62,7 @@ from .wreath import (
     hg_elements,
     hyperoct_perms,
     irrep_label_set,
+    k_order,
     k_type_weights,
     p_compose,
     p_inverse,
@@ -70,14 +72,6 @@ from .wreath import (
     wreath_character,
     wreath_order,
 )
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Enumeration limits; exceeding one raises CapExceeded."""
-
-    max_elements: int = 10**6
-    max_classwork: int = 10**7
 
 
 # The "format" tag of table JSON, also a part of every cache key.
@@ -126,7 +120,7 @@ class SphericalContext:
 
     @cached_property
     def hg(self) -> list[WreathElement]:
-        return hg_elements(self.group, self.n, self.caps.max_elements)
+        return hg_elements(self.group, self.n, self.caps)
 
     @cached_property
     def conj_theta(self) -> list[CycNum]:
@@ -135,7 +129,7 @@ class SphericalContext:
 
     @cached_property
     def hg_size(self) -> int:
-        return self.group.order**self.n * 2**self.n * factorial(self.n)
+        return k_order(self.group, self.n)
 
     @cached_property
     def big_order(self) -> int:
@@ -272,7 +266,7 @@ def spherical_closed(
         val = spherical_closed(ctx.unsigned_partner, lam.transpose(), rho)
         return None if val is None else val * sgn
     rep, partner, _ = blocks[0]
-    table, group, fusion = ctx.table, ctx.group, ctx.fusion
+    table, fusion = ctx.table, ctx.fusion
     n = ctx.n
     rho_hat = rho.hat()
     if partner == rep:
@@ -295,14 +289,9 @@ def spherical_closed(
     chi_val = sym_character(lam_rep, rho_hat)
     dim = table.degrees[rep] ** n * lam_rep.dim_sym()
     val = CycNum.rational(Fraction(chi_val, 2**n * dim))
-    xi_row = ctx.xi
     for i, m in enumerate(fusion.merged):
-        g = m.rep_element
-        a = table.value(xi_row, g).conjugate() * table.value(rep, g)
-        b = table.value(rep, g).conjugate()
         for part, mult in rho[i].multiplicities().items():
-            f = a + b * (ctx.sign ** (part - 1))
-            val = val * f**mult
+            val = val * _numerator(ctx, rep, m.rep_element, part) ** mult
     return val
 
 
@@ -361,32 +350,32 @@ def ch_map(
 # -- coefficient-extraction engine ---------------------------------------------------------
 
 
-def _push_single(
-    ctx: SphericalContext, chi: int, f: PExpr, halving: str
-) -> SymFuncElem:
-    """Push a single-alphabet p-expression through the change of variables
-    p_r -> sum over merged classes of the character-weighted power sums.
+def _numerator(ctx: SphericalContext, chi: int, g: int, r: int) -> CycNum:
+    """conj(xi(g)) chi(g) + sign^(r-1) conj(chi(g)): the weight of p_r at the
+    merged class of g in the image of p_r(chi), before its denominator."""
+    xi_g, chi_g = ctx.table.value(ctx.xi, g), ctx.table.value(chi, g)
+    return xi_g.conjugate() * chi_g + chi_g.conjugate() * (ctx.sign ** (r - 1))
 
-    halving picks the per-class denominator scale, pinned by the averaging
-    engine: "literal" halves real classes only (the unsigned characters),
-    "all" halves every class (signed, self-paired block), "none" halves
-    nothing (signed, split block).
+
+def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
+    """Push a single-alphabet p-expression through the change of variables
+    p_r(chi) -> sum over merged classes R of _numerator / (k zeta_R) p_r(R).
+
+    The scale k was pinned by the averaging engine: for the unsigned
+    characters k = 2 on real classes and 1 on complex ones; for the signed
+    characters k = 2 on every class when chi's block is self-paired and 1
+    when it is a split pair.
     """
-    table, fusion = ctx.table, ctx.fusion
-    src = SymFuncElem.from_p_expr(("x",), 0, f)
+    fusion = ctx.fusion
+    self_paired = fusion.row_partner[chi] == chi
 
     def coeff(_a, b, r):
-        i = ctx.merged_names.index(b)
-        m = fusion.merged[i]
-        g = m.rep_element
-        num = table.value(ctx.xi, g).conjugate() * table.value(chi, g) + table.value(
-            chi, g
-        ).conjugate() * (ctx.sign ** (r - 1))
+        m = fusion.merged[ctx.merged_names.index(b)]
+        k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
         zc = ctx.group.centralizer_orders[m.classes[0]]
-        k = {"literal": 2 if m.real else 1, "all": 2, "none": 1}[halving]
-        return num * Fraction(1, k * zc)
+        return _numerator(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
 
-    return src.change_alphabet(coeff, ctx.merged_names)
+    return SymFuncElem.from_p_expr(("x",), 0, f).change_alphabet(coeff, ctx.merged_names)
 
 
 def _block_factor(
@@ -411,13 +400,11 @@ def _block_factor(
             f = schurq_p_expr(mu)
             hbar = Fraction(factorial(m), shifted_tableau_count(mu))
             scalar = Fraction(gsize, d) ** m * hbar
-        factor = _push_single(ctx, rep, f, "literal" if ctx.sign == 1 else "all")
     else:
         m = shape.size
         f = schur_p_expr(shape)
         scalar = Fraction(gsize, d) ** m * shape.hook_product()
-        factor = _push_single(ctx, rep, f, "literal" if ctx.sign == 1 else "none")
-    return factor.scale(scalar)
+    return _push_single(ctx, rep, f).scale(scalar)
 
 
 def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
@@ -454,6 +441,12 @@ def spherical_from_symfunc(
 
 
 # -- table + reconciliation -----------------------------------------------------------------
+
+
+def canonical_json(obj) -> str:
+    """The one JSON text form of every table, report and CLI object: sorted
+    keys, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
@@ -495,7 +488,7 @@ class SphericalTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_json_obj())
 
     def to_csv(self) -> str:
         return table_csv(self.to_json_obj())
@@ -582,7 +575,7 @@ class ReconcileReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_json_obj())
 
 
 def reconcile(ctx: SphericalContext) -> ReconcileReport:
@@ -661,7 +654,7 @@ def cache_load(cache_dir: str | Path | None, key: str) -> str | None:
         isinstance(obj, dict)
         and obj.get("format") == TABLE_FORMAT
         and all(isinstance(obj.get(k), list) for k in ("rows", "cols", "values"))
-        and json.dumps(obj, indent=2, sort_keys=True) + "\n" == payload
+        and canonical_json(obj) == payload
     ):
         return None
     return payload

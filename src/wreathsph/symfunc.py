@@ -64,17 +64,6 @@ def psi_twist(f: PExpr, c) -> PExpr:
     return {k: v * c ** len(k) for k, v in f.items()}
 
 
-def twist_per_degree(f: PExpr, scalar_of_r) -> PExpr:
-    """The ring map p_r -> scalar_of_r(r) * p_r."""
-    out: PExpr = {}
-    for k, v in f.items():
-        for r in k:
-            v = v * Fraction(scalar_of_r(r))
-        if v:
-            out[k] = v
-    return out
-
-
 def p_inner_alpha(a: PExpr, b: PExpr, alpha) -> Fraction:
     """<p_l, p_m> = delta * z_l * alpha^len(l)."""
     alpha = Fraction(alpha)
@@ -83,16 +72,6 @@ def p_inner_alpha(a: PExpr, b: PExpr, alpha) -> Fraction:
         w = b.get(k)
         if w:
             tot += v * w * k.aut_order() * alpha ** len(k)
-    return tot
-
-
-def q_inner(a: PExpr, b: PExpr) -> Fraction:
-    """The inner product with <p_l, p_l> = z_l / 2^len(l) (odd subring)."""
-    tot = Fraction(0)
-    for k, v in a.items():
-        w = b.get(k)
-        if w:
-            tot += v * w * Fraction(k.aut_order(), 2 ** len(k))
     return tot
 
 
@@ -347,10 +326,6 @@ class SymFuncElem:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(alphabet) -> "SymFuncElem":
-        return SymFuncElem(alphabet, {})
 
     @staticmethod
     def one(alphabet) -> "SymFuncElem":

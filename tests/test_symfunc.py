@@ -16,7 +16,6 @@ from wreathsph.symfunc import (
     p_scale,
     p_to_m,
     psi_twist,
-    q_inner,
     qfunc_p,
     schur_p_expr,
     schurq_p_expr,
@@ -24,6 +23,16 @@ from wreathsph.symfunc import (
 )
 
 P = Partition
+
+
+def q_inner(a, b) -> Fraction:
+    """The inner product with <p_l, p_l> = z_l / 2^len(l) (odd subring)."""
+    tot = Fraction(0)
+    for k, v in a.items():
+        w = b.get(k)
+        if w:
+            tot += v * w * Fraction(k.aut_order(), 2 ** len(k))
+    return tot
 
 
 def test_sym_character_basics():

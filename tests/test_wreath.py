@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathsph.cyclo import CycNum, ONE, ZERO, sum_products
-from wreathsph.groups import GroupError, bundled, fuse_classes, linear_characters
+from wreathsph.groups import (
+    GroupError,
+    bundled,
+    bundled_names,
+    fuse_classes,
+    linear_characters,
+    twisted_indicator,
+)
 from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
 from wreathsph.wreath import (
+    PI_NAMES,
     PairedChar,
+    _self_row_family,
     WreathElement,
     class_type,
     coset_label_set,
@@ -304,12 +313,88 @@ def test_index_sets_trivial_group():
     assert {l[0] for l in labels} == {P((4,)), P((2, 2))}
 
 
+def reference_multipartitions(num_slots, n):
+    """The slot-by-slot generator that multipartitions used to run."""
+
+    def gen(slot, rest):
+        if slot == num_slots - 1:
+            for p in partitions_of(rest):
+                yield (p,)
+            return
+        for w in range(rest + 1):
+            for p in partitions_of(w):
+                for tail in gen(slot + 1, rest - w):
+                    yield (p,) + tail
+
+    if num_slots == 0:
+        return (MultiPartition(()),) if n == 0 else ()
+    return tuple(sorted((MultiPartition(t) for t in gen(0, n)), key=MultiPartition.sort_key))
+
+
+def reference_irrep_label_set(table, fus, xi, pi, n):
+    """The recursion irrep_label_set used to run: a split pair takes a shape
+    of weight w for the representative row and its copy (or, for the signed
+    pi, its transpose) for the partner, using 2w of the total weight."""
+    slots = []
+    for chi in fus.eta_reps:
+        partner = fus.row_partner[chi]
+        if partner == chi:
+            fam = _self_row_family(twisted_indicator(table, xi, chi), pi)
+            slots.append(("self", chi, fam))
+        else:
+            slots.append(("pair", chi, partner))
+    results = []
+
+    def rec(idx, rest, assign):
+        if idx == len(slots):
+            if rest == 0:
+                parts = [assign.get(chi, Partition()) for chi in range(len(table.rows))]
+                results.append(MultiPartition(parts))
+            return
+        kind, chi, data = slots[idx]
+        if kind == "self":
+            for w in range(0, rest + 1):
+                for lam in data(w):
+                    assign[chi] = lam
+                    rec(idx + 1, rest - w, assign)
+                assign.pop(chi, None)
+        else:
+            for w in range(0, rest // 2 + 1):
+                for lam in partitions_of(w):
+                    assign[chi] = lam
+                    assign[data] = lam if epsilon_sign(pi) == 1 else lam.transpose()
+                    rec(idx + 1, rest - 2 * w, assign)
+                assign.pop(chi, None)
+                assign.pop(data, None)
+
+    rec(0, 2 * n, {})
+    results.sort(key=MultiPartition.sort_key)
+    return tuple(results)
+
+
+def test_multipartitions_match_reference_generator():
+    for q in range(6):
+        for n in range(5):
+            assert multipartitions(q, n) == reference_multipartitions(q, n), (q, n)
+
+
+def test_irrep_label_sets_match_reference_recursion():
+    for name in bundled_names():
+        group, table = bundled(name)
+        for xi in linear_characters(table):
+            fus = fuse_classes(group, table, xi)
+            for pi in PI_NAMES:
+                for n in range(1, 5):
+                    want = reference_irrep_label_set(table, fus, xi, pi, n)
+                    assert irrep_label_set(table, fus, xi, pi, n) == want, (
+                        name, xi, pi, n
+                    )
+
+
 def test_decompose_degree_one_families():
     # degree-2 case: three families per the indicator values
     for name in ("c4", "q8"):
         group, table = bundled(name)
-        from wreathsph.groups import twisted_indicator
-
         for xi in linear_characters(table):
             dec = decompose_induced(table, PairedChar(table, xi, "triv", 1))
             assert set(dec.values()) == {1}
@@ -415,8 +500,6 @@ def test_decompose_matrix_group_degree_two():
     # the 48-element matrix group at degree 2: all indicator values are -1
     # for the self-paired rows, so those components carry columns (1,1)
     group, table = bundled("gl2f3")
-    from wreathsph.groups import twisted_indicator
-
     xi = table.row_by_name("chi2")
     fus = fuse_classes(group, table, xi)
     for pi in ("triv", "iota"):
