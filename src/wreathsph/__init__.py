@@ -1,39 +1,56 @@
-"""Exact spherical functions of wreath-product Gelfand triples."""
+"""Exact spherical functions of wreath-product Gelfand triples.
 
-from .cyclo import CycNum, cyc, parse_cyc, zeta
-from .groups import (
-    CharacterTable,
-    ClassFusion,
-    FiniteGroup,
-    bundled,
-    fuse_classes,
-    linear_characters,
-    load_group,
-    load_table,
-    twisted_indicator,
-    validate_table,
-)
-from .partitions import MultiPartition, Partition, doubling, multipartitions, partitions_of
-from .spherical import (
-    Caps,
-    SphericalContext,
-    SphericalTable,
-    build_table,
-    ch_image_product,
-    ch_map,
-    coset_order,
-    reconcile,
-)
-from .symfunc import SymFuncElem, jack_p_expr, schur_p_expr, schurq_p_expr, sym_character
-from .wreath import (
-    PairedChar,
-    WreathElement,
-    class_type,
-    coset_rep,
-    decompose_induced,
-    hg_elements,
-    irrep_label_set,
-    wreath_character,
-)
+The names below are read from their submodules on first use, so that
+importing one submodule (wreathsph.groups, say) does not load the rest.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "cyclo": ("CycNum", "cyc", "parse_cyc", "zeta"),
+    "groups": (
+        "CharacterTable",
+        "ClassFusion",
+        "FiniteGroup",
+        "bundled",
+        "fuse_classes",
+        "linear_characters",
+        "load_group",
+        "load_table",
+        "twisted_indicator",
+        "validate_table",
+    ),
+    "partitions": ("MultiPartition", "Partition", "doubling", "multipartitions", "partitions_of"),
+    "spherical": (
+        "Caps",
+        "SphericalContext",
+        "SphericalTable",
+        "build_table",
+        "ch_image_product",
+        "ch_map",
+        "coset_order",
+        "reconcile",
+    ),
+    "symfunc": ("SymFuncElem", "jack_p_expr", "schur_p_expr", "schurq_p_expr", "sym_character"),
+    "wreath": (
+        "PairedChar",
+        "WreathElement",
+        "class_type",
+        "coset_rep",
+        "decompose_induced",
+        "hg_elements",
+        "irrep_label_set",
+        "wreath_character",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

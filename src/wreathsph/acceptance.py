@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .cyclo import CycNum, ONE, ZERO, cyc, zeta
+from .cyclo import CycNum, ONE, ZERO, cyc, sum_products, zeta
 from .groups import (
     bundled,
     fuse_classes,
@@ -43,6 +43,7 @@ from .wreath import (
     PI_NAMES,
     PairedChar,
     WreathElement,
+    conj_theta_values,
     coset_label_set,
     coset_rep,
     decompose_induced,
@@ -204,15 +205,14 @@ def criterion_5() -> CriterionResult:
             for xi in lin:
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
+                    conj_theta = dict(zip(hg, conj_theta_values(theta, hg)))
                     legal = set(
                         coset_label_set(table, fus0, xi, epsilon_sign(pi), n)
                     )
                     for rho, pairs in pair_cache.items():
-                        tot = ZERO
-                        for h, k in pairs:
-                            tot = tot + theta.value(h).conjugate() * theta.value(
-                                k
-                            ).conjugate()
+                        tot = sum_products(
+                            (conj_theta[h], conj_theta[k], 1) for h, k in pairs
+                        )
                         if bool(tot) != (rho in legal):
                             failures.append(
                                 f"{name}/{table.names[xi]}/{pi}/n={n}: {rho}"

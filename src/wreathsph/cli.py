@@ -138,7 +138,10 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _table_payload(args, group, table) -> str:
+def _table_payload(args) -> str:
+    """The table's JSON text: from the cache when it holds the entry, else
+    computed (loading and validating the group and table only then) and
+    stored.  The key covers both files' bytes."""
     key = None
     if args.cache_dir:
         key = cache_key(
@@ -154,8 +157,8 @@ def _table_payload(args, group, table) -> str:
         hit = cache_load(args.cache_dir, key)
         if hit is not None:
             return hit
-    ctx = _context(args, group, table)
-    tab = build_table(ctx, args.engine)
+    group, table = _load_pair(args)
+    tab = build_table(_context(args, group, table), args.engine)
     payload = tab.to_json()
     if key:
         cache_store(args.cache_dir, key, payload)
@@ -163,8 +166,7 @@ def _table_payload(args, group, table) -> str:
 
 
 def cmd_spherical(args) -> int:
-    group, table = _load_pair(args)
-    payload = _table_payload(args, group, table)
+    payload = _table_payload(args)
     # csv is formatted from the payload, which may be a cache hit
     text = payload if args.format == "json" else table_csv(json.loads(payload))
     _emit(text, args.out)

@@ -6,8 +6,9 @@ cyclotomic polynomial.  Conductors are always minimized (2 mod 4 is
 never used, rationals live at conductor 1), so two equal values always
 have identical (conductor, coefficient) data and ==/hash are cheap.
 
-Values are immutable after construction; everything here is safe to
-share between threads.
+Values are immutable after construction (two lazily filled caches
+aside, the hash and cyc_vector's last form, whose races only repeat
+work); everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -134,7 +135,7 @@ def _solve_subfield(n: int, m: int, vec: list[Fraction]) -> list[Fraction] | Non
 class CycNum:
     """An element of some Q(zeta_N), in canonical minimal-conductor form."""
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "coeffs", "_hash", "_vector")
 
     def __init__(self, conductor: int, coeffs: dict[int, Fraction], _raw: bool = False):
         if _raw:
@@ -145,6 +146,7 @@ class CycNum:
             self.conductor = c.conductor
             self.coeffs = c.coeffs
         self._hash = None
+        self._vector = None  # cyc_vector's last form
 
     # -- construction -------------------------------------------------
 
@@ -368,29 +370,87 @@ ZERO = CycNum.rational(0)
 ONE = CycNum.rational(1)
 
 
-def sum_products(items) -> CycNum:
-    """Sum of a * b * w over (a, b, w) triples, canonicalized once at the end.
+# -- integer vectors in Z[x]/(x^n - 1) ------------------------------------------
+#
+# A value of Q(zeta_n) written as sum_k vec[k] zeta_n^k / den, with integer
+# vec of length n and one positive denominator, is not unique: x^n - 1 has
+# more factors than Phi_n.  Products are cyclic convolutions, sums aligned
+# integer adds; vector_cyc is where a vector is reduced mod Phi_n and its
+# conductor descended, once, as it leaves as a CycNum.
 
-    Much faster than repeated `+`/`*` for long accumulations, since each
-    CycNum operation normally re-minimizes the conductor.
-    """
+
+def cyc_vector(x: CycNum, n: int) -> tuple[list[int], int]:
+    """x as (vec, den) in Z[x]/(x^n - 1); n must be a multiple of its
+    conductor.  The last form asked for is kept on x: do not modify vec."""
+    memo = x._vector
+    if memo is not None and memo[0] == n:
+        return memo[1], memo[2]
+    step, rem = divmod(n, x.conductor)
+    if rem:
+        raise ValueError(f"conductor {x.conductor} does not divide {n}")
+    vec = [0] * n
+    den = lcm(*(v.denominator for v in x.coeffs.values()))
+    for k, v in x.coeffs.items():
+        vec[k * step] = v.numerator * (den // v.denominator)
+    x._vector = (n, vec, den)
+    return vec, den
+
+
+def convolve_into(acc: list[int], a: list[int], b: list[int]) -> None:
+    """acc += a * b in Z[x]/(x^n - 1), n = len(acc) = len(a) = len(b)."""
+    n = len(acc)
+    if n == 1:
+        acc[0] += a[0] * b[0]
+        return
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    k = i + j
+                    acc[k - n if k >= n else k] += x * y
+
+
+def vector_cyc(vec: list[int], den: int) -> CycNum:
+    """The canonical CycNum of sum_k vec[k] zeta_n^k / den, n = len(vec).
+    Zero and rational values need no canonicalize call."""
+    n = len(vec)
+    d = _phi_deg(n)
+    red = vec[:d]
+    tab = _power_table(n)
+    for k in range(d, n):
+        v = vec[k]
+        if v:
+            for i, c in enumerate(tab[k]):
+                if c:
+                    red[i] += v * c
+    if not any(red[1:]):
+        return CycNum(1, {0: Fraction(red[0], den)}, _raw=True) if red[0] else ZERO
+    return canonicalize(n, {i: Fraction(v, den) for i, v in enumerate(red) if v})
+
+
+def sum_products(items) -> CycNum:
+    """Sum of a * b * w over (a, b, w) triples: one integer accumulator in
+    Z[x]/(x^N - 1) over one common denominator, canonicalized once."""
     items = list(items)
     big = 1
     for a, b, _ in items:
-        big = big * a.conductor // gcd(big, a.conductor)
-        big = big * b.conductor // gcd(big, b.conductor)
-    acc: dict[int, Fraction] = {}
+        big = lcm(big, a.conductor, b.conductor)
+    acc, den = [0] * big, 1
     for a, b, w in items:
-        w = Fraction(w)
-        if not w:
+        if not (w and a.coeffs and b.coeffs):
             continue
-        sa = big // a.conductor
-        sb = big // b.conductor
-        for ka, va in a.coeffs.items():
-            for kb, vb in b.coeffs.items():
-                k = (ka * sa + kb * sb) % big
-                acc[k] = acc.get(k, Fraction(0)) + va * vb * w
-    return canonicalize(big, acc)
+        va, da = cyc_vector(a, big)
+        vb, db = cyc_vector(b, big)
+        d = da * db * w.denominator
+        if den % d:
+            grow = lcm(den, d) // den
+            acc, den = [v * grow for v in acc], den * grow
+        s = w.numerator * (den // d)
+        if s != 1:
+            va = [v * s for v in va]
+        convolve_into(acc, va, vb)
+    return vector_cyc(acc, den)
+
 
 _TERM_RE = re.compile(
     r"^(?P<coef>\d+(?:/\d+)?)?\*?"

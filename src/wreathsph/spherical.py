@@ -44,6 +44,7 @@ from .symfunc import (
     PExpr,
     SymFuncElem,
     jack_p_expr,
+    pack_key,
     psi_twist,
     schur_p_expr,
     schurq_p_expr,
@@ -150,6 +151,15 @@ class SphericalContext:
         return {
             rho: coset_order(self, rho) * _radical_factor(self, rho) for rho in self.cols
         }
+
+    @cached_property
+    def col_keys(self) -> list[tuple[MultiPartition, int, Fraction]]:
+        """Per column, its packed key and the scale |K| / col_weights from
+        its coefficient in the symmetric-function image to its value."""
+        return [
+            (rho, pack_key(rho), Fraction(self.hg_size, self.col_weights[rho]))
+            for rho in self.cols
+        ]
 
     @cached_property
     def unsigned_partner(self) -> "SphericalContext":
@@ -412,11 +422,7 @@ def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
     of classical symmetric functions, one factor per character block.  Each
     factor is pushed once per context and block, keyed by (rep, lam[rep])."""
     if ctx.pi in PI_PARTNER_UNSIGNED:
-        base = ch_image_product(ctx.unsigned_partner, lam.transpose())
-        terms = {
-            k: v * Fraction((-1) ** len(k.hat())) for k, v in base.terms.items()
-        }
-        return SymFuncElem(ctx.merged_names, terms)
+        return ch_image_product(ctx.unsigned_partner, lam.transpose()).sign_twist()
     result = None
     for rep, partner, _w in ctx.row_blocks(lam):
         key = (rep, lam[rep])
@@ -433,11 +439,7 @@ def spherical_from_symfunc(
 ) -> dict[MultiPartition, CycNum]:
     """Spherical values recovered from the symmetric-function image."""
     rhs = ch_image_product(ctx, lam)
-    out = {}
-    for rho in ctx.cols:
-        c = rhs.coefficient(rho)
-        out[rho] = c * Fraction(ctx.hg_size, ctx.col_weights[rho])
-    return out
+    return {rho: rhs.coefficient(key, scale) for rho, key, scale in ctx.col_keys}
 
 
 # -- table + reconciliation -----------------------------------------------------------------

@@ -2,9 +2,23 @@
 
 Single-alphabet elements are plain dicts Partition -> Fraction over the
 p-basis; the classical families (Schur, Schur Q, Jack) are produced as
-such expansions.  Multi-alphabet elements carry cyclotomic coefficients
-and support the change-of-variables ring homomorphisms used to compare
+such expansions.
+
+Multi-alphabet elements (SymFuncElem) carry cyclotomic coefficients and
+support the change-of-variables ring homomorphisms used to compare
 Hecke-algebra images with products of classical symmetric functions.
+They are stored as one exact integer kernel:
+  - each monomial prod p_r(slot)^m is one packed int, m in the 8-bit field
+    (r - 1) * S + slot (S the alphabet size), so multiplying two monomials
+    is one integer addition; a product whose factors' weights sum past
+    255 is refused, since a field could overflow into its neighbour;
+  - each coefficient is an integer vector in Z[x]/(x^N - 1), N the lcm of
+    the conductors in play, over one denominator per element; products
+    are cyclic convolutions (cyclo.convolve_into);
+  - a vector is reduced mod Phi_N, with its conductor descended, only
+    where it leaves as a CycNum (cyclo.vector_cyc): in coefficient, in
+    the decoded and cached terms, and in ==, bool and to_json.
+See NOTES.md, "Packed symmetric-function kernel".
 
 All values are immutable by convention; the memoization caches on the
 expansion functions are append-only and safe for concurrent readers.
@@ -14,8 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
-from .cyclo import CycNum, ONE, ZERO
+from .cyclo import CycNum, ONE, ZERO, convolve_into, cyc_vector, vector_cyc
 from .partitions import (
     MultiPartition,
     Partition,
@@ -306,50 +321,148 @@ def schurq_p_expr(lam: Partition) -> PExpr:
 
 # -- multi-alphabet elements -----------------------------------------------------
 
+# Packed keys: over an alphabet of S labels, the multiplicity of p_r(slot)
+# sits in the W-bit field (r - 1) * S + slot of one int, so a monomial
+# product is one integer addition.  W = 8, so the fields are the int's bytes.
+_W = 8
+_FIELD_MAX = (1 << _W) - 1
+_EMPTY = Partition()
+
+
+def _pack_partition(lam: Partition, slot: int, size: int) -> int:
+    key = 0
+    for r, m in lam.multiplicities().items():
+        if m > _FIELD_MAX:
+            raise OverflowError(
+                f"multiplicity {m} of part {r} exceeds the packed field limit {_FIELD_MAX}"
+            )
+        key += m << (_W * ((r - 1) * size + slot))
+    return key
+
+
+def pack_key(key: MultiPartition) -> int:
+    """The packed monomial of a multipartition key over len(key) labels."""
+    size = len(key)
+    return sum(_pack_partition(lam, slot, size) for slot, lam in enumerate(key))
+
+
+def _fields(key: int) -> bytes:
+    return key.to_bytes((key.bit_length() + 7) // 8, "little")
+
+
+def _unpack_key(key: int, size: int) -> MultiPartition:
+    parts: list[list[int]] = [[] for _ in range(size)]
+    for index, m in enumerate(_fields(key)):
+        if m:
+            r, slot = divmod(index, size)
+            parts[slot] += [r + 1] * m
+    return MultiPartition(Partition(p[::-1]) if p else _EMPTY for p in parts)
+
+
+def _lift(vecs: dict[int, list[int]], m: int, n: int) -> dict[int, list[int]]:
+    """Vectors of Z[x]/(x^m - 1) inside Z[x]/(x^n - 1), m | n: x -> x^(n/m)."""
+    if m == n:
+        return vecs
+    step = n // m
+    out = {}
+    for k, v in vecs.items():
+        w = [0] * n
+        w[::step] = v
+        out[k] = w
+    return out
+
+
+def _product(a: dict[int, list[int]], b: dict[int, list[int]], n: int):
+    """The product of two packed expansions over Z[x]/(x^n - 1)."""
+    out: dict[int, list[int]] = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1 + k2
+            acc = out.get(k)
+            if acc is None:
+                acc = out[k] = [0] * n
+            convolve_into(acc, v1, v2)
+    return out
+
 
 class SymFuncElem:
     """A finite p-basis combination over a fixed ordered label alphabet,
-    with cyclotomic coefficients.  Immutable by convention."""
+    with cyclotomic coefficients.  Immutable by convention.
 
-    __slots__ = ("alphabet", "terms")
+    Stored as packed monomial keys -> integer vectors in Z[x]/(x^N - 1)
+    over one common denominator, N the lcm of the conductors in play.
+    Vectors are reduced mod Phi_N only where a coefficient leaves as a
+    CycNum (coefficient, terms, ==, bool, to_json)."""
+
+    __slots__ = ("alphabet", "_n", "_vecs", "_den", "_weight", "_reduced", "_terms")
 
     def __init__(self, alphabet, terms: dict[MultiPartition, CycNum] | None = None):
-        self.alphabet = tuple(alphabet)
-        clean = {}
+        alphabet = tuple(alphabet)
+        cycs: dict[int, CycNum] = {}
+        weight = 0
         for k, v in (terms or {}).items():
-            if len(k) != len(self.alphabet):
+            if len(k) != len(alphabet):
                 raise ValueError("key does not match alphabet size")
             if not isinstance(v, CycNum):
                 v = CycNum.rational(v)
             if v:
-                clean[k] = v
-        self.terms = clean
+                cycs[pack_key(k)] = v
+                weight = max(weight, k.weight)
+        self._set_cycs(alphabet, cycs, weight)
+
+    def _set_cycs(self, alphabet, cycs: dict[int, CycNum], weight: int) -> None:
+        n = lcm(1, *(v.conductor for v in cycs.values()))
+        pairs = {k: cyc_vector(v, n) for k, v in cycs.items()}
+        den = lcm(1, *(d for _, d in pairs.values()))
+        self.alphabet = alphabet
+        self._n, self._den, self._weight = n, den, weight
+        self._vecs = {k: [x * (den // d) for x in v] for k, (v, d) in pairs.items()}
+        self._reduced, self._terms = cycs, None
+
+    @classmethod
+    def _from_cycs(cls, alphabet, cycs: dict[int, CycNum], weight: int) -> "SymFuncElem":
+        """An element from packed keys and nonzero canonical coefficients."""
+        out = object.__new__(cls)
+        out._set_cycs(tuple(alphabet), cycs, weight)
+        return out
+
+    @classmethod
+    def _from_vectors(cls, alphabet, n: int, vecs: dict[int, list[int]], den: int, weight):
+        """An element from integer vectors; zero vectors are dropped and the
+        common factor of the numerators and den is cancelled."""
+        vecs = {k: v for k, v in vecs.items() if any(v)}
+        g = gcd(den, *(x for v in vecs.values() for x in v))
+        if g > 1:
+            vecs = {k: [x // g for x in v] for k, v in vecs.items()}
+            den //= g
+        out = object.__new__(cls)
+        out.alphabet, out._n, out._vecs, out._den = alphabet, n, vecs, den
+        out._weight, out._reduced, out._terms = weight, None, None
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def one(alphabet) -> "SymFuncElem":
-        alphabet = tuple(alphabet)
-        key = MultiPartition([Partition()] * len(alphabet))
-        return SymFuncElem(alphabet, {key: ONE})
+        return SymFuncElem._from_cycs(alphabet, {0: ONE}, 0)
 
     @staticmethod
     def power(alphabet, slot: int, rho: Partition) -> "SymFuncElem":
         """p_rho in the given slot."""
         alphabet = tuple(alphabet)
-        parts = [Partition()] * len(alphabet)
-        parts[slot] = rho
-        return SymFuncElem(alphabet, {MultiPartition(parts): ONE})
+        key = _pack_partition(rho, slot, len(alphabet))
+        return SymFuncElem._from_cycs(alphabet, {key: ONE}, rho.size)
 
     @staticmethod
     def from_p_expr(alphabet, slot: int, f: PExpr) -> "SymFuncElem":
         alphabet = tuple(alphabet)
-        terms = {}
-        for rho, c in f.items():
-            parts = [Partition()] * len(alphabet)
-            parts[slot] = rho
-            terms[MultiPartition(parts)] = CycNum.rational(c)
-        return SymFuncElem(alphabet, terms)
+        cycs = {
+            _pack_partition(rho, slot, len(alphabet)): CycNum.rational(c)
+            for rho, c in f.items()
+            if c
+        }
+        weight = max((rho.size for rho in f), default=0)
+        return SymFuncElem._from_cycs(alphabet, cycs, weight)
 
     # -- ring operations -----------------------------------------------------
 
@@ -359,10 +472,18 @@ class SymFuncElem:
 
     def __add__(self, other: "SymFuncElem") -> "SymFuncElem":
         self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + v
-        return SymFuncElem(self.alphabet, terms)
+        n, den = lcm(self._n, other._n), lcm(self._den, other._den)
+        out: dict[int, list[int]] = {}
+        for elem in (self, other):
+            f = den // elem._den
+            for k, v in _lift(elem._vecs, elem._n, n).items():
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = [0] * n
+                for i, x in enumerate(v):
+                    acc[i] += x * f
+        weight = max(self._weight, other._weight)
+        return SymFuncElem._from_vectors(self.alphabet, n, out, den, weight)
 
     def __sub__(self, other: "SymFuncElem") -> "SymFuncElem":
         return self + other.scale(-1)
@@ -370,29 +491,85 @@ class SymFuncElem:
     def scale(self, c) -> "SymFuncElem":
         if not isinstance(c, CycNum):
             c = CycNum.rational(c)
-        return SymFuncElem(self.alphabet, {k: v * c for k, v in self.terms.items()})
+        n = lcm(self._n, c.conductor)
+        vc, dc = cyc_vector(c, n)
+        vecs = {}
+        for k, v in _lift(self._vecs, self._n, n).items():
+            acc = vecs[k] = [0] * n
+            convolve_into(acc, v, vc)
+        den = self._den * dc
+        return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, self._weight)
+
+    def _mul(self, other: "SymFuncElem") -> "SymFuncElem":
+        weight = self._weight + other._weight
+        if weight > _FIELD_MAX:
+            raise OverflowError(
+                f"product of weights {self._weight} and {other._weight} exceeds "
+                f"{_FIELD_MAX}, the limit of a packed multiplicity field"
+            )
+        n = lcm(self._n, other._n)
+        vecs = _product(_lift(self._vecs, self._n, n), _lift(other._vecs, other._n, n), n)
+        den = self._den * other._den
+        return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, weight)
 
     def __mul__(self, other: "SymFuncElem") -> "SymFuncElem":
         self._check(other)
-        terms: dict[MultiPartition, CycNum] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1.union(k2)
-                terms[k] = terms.get(k, ZERO) + v1 * v2
-        return SymFuncElem(self.alphabet, terms)
+        return self._mul(other)
+
+    def sign_twist(self) -> "SymFuncElem":
+        """The ring map p_r(a) -> -p_r(a): each monomial times (-1)^(its
+        number of parts), the sum of its packed fields."""
+        vecs = {
+            k: [-x for x in v] if sum(_fields(k)) & 1 else v for k, v in self._vecs.items()
+        }
+        n, den = self._n, self._den
+        return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, self._weight)
+
+    # -- reduction to CycNum ---------------------------------------------------
+
+    def _cycs(self) -> dict[int, CycNum]:
+        """Packed key -> coefficient, for the coefficients nonzero mod Phi_N."""
+        if self._reduced is None:
+            reduced = {}
+            for k, v in self._vecs.items():
+                c = vector_cyc(v, self._den)
+                if c:
+                    reduced[k] = c
+            self._reduced = reduced
+        return self._reduced
+
+    @property
+    def terms(self) -> dict[MultiPartition, CycNum]:
+        """Multipartition key -> nonzero coefficient, decoded once."""
+        if self._terms is None:
+            size = len(self.alphabet)
+            self._terms = {_unpack_key(k, size): v for k, v in self._cycs().items()}
+        return self._terms
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymFuncElem)
             and self.alphabet == other.alphabet
-            and self.terms == other.terms
+            and self._cycs() == other._cycs()
         )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._cycs())
 
-    def coefficient(self, key: MultiPartition) -> CycNum:
-        return self.terms.get(key, ZERO)
+    def coefficient(self, key: MultiPartition | int, scale: Fraction | int = 1) -> CycNum:
+        """The coefficient of a key, given as a multipartition or packed,
+        times a rational scale."""
+        if not isinstance(key, int):
+            if len(key) != len(self.alphabet):
+                raise ValueError("key does not match alphabet size")
+            key = pack_key(key)
+        vec = self._vecs.get(key)
+        if vec is None:
+            return ZERO
+        num = scale.numerator
+        if num != 1:
+            vec = [x * num for x in vec]
+        return vector_cyc(vec, self._den * scale.denominator)
 
     def degrees(self) -> set[int]:
         return {k.weight for k in self.terms}
@@ -407,34 +584,63 @@ class SymFuncElem:
     def change_alphabet(self, coeff, target) -> "SymFuncElem":
         """Apply the ring homomorphism p_r(a) -> sum_b coeff(a, b, r) p_r(b).
 
-        coeff takes (source label, target label, degree r) and returns a CycNum.
+        coeff takes (source label, target label, degree r) and returns a
+        CycNum; it is called once per (a, b, r) the element uses.
         """
         target = tuple(target)
-        empty = MultiPartition([Partition()] * len(target))
-        out: dict[MultiPartition, CycNum] = {}
-        for key, c in self.terms.items():
-            acc: dict[MultiPartition, CycNum] = {empty: c}
-            for slot, lam in enumerate(key):
-                a = self.alphabet[slot]
-                for r in lam:
-                    images = []
-                    for bi, b in enumerate(target):
-                        w = coeff(a, b, r)
-                        if not isinstance(w, CycNum):
-                            w = CycNum.rational(w)
-                        if w:
-                            images.append((bi, w))
-                    nxt: dict[MultiPartition, CycNum] = {}
-                    for mp, v in acc.items():
-                        for bi, w in images:
-                            parts = list(mp.parts)
-                            parts[bi] = parts[bi].union(Partition((r,)))
-                            nk = MultiPartition(parts)
-                            nxt[nk] = nxt.get(nk, ZERO) + v * w
-                    acc = nxt
-            for mp, v in acc.items():
-                out[mp] = out.get(mp, ZERO) + v
-        return SymFuncElem(target, out)
+        size, tsize = len(self.alphabet), len(target)
+        if self._weight > _FIELD_MAX:
+            raise OverflowError(
+                f"weight {self._weight} exceeds {_FIELD_MAX}, the limit of a "
+                "packed multiplicity field"
+            )
+        used = {i for k in self._vecs for i, m in enumerate(_fields(k)) if m}
+        # the image of p_r(a) per field (r, a), over one N and one denominator
+        images = {}
+        for index in used:
+            r, slot = divmod(index, size)
+            cycs = {}
+            for bi, b in enumerate(target):
+                w = coeff(self.alphabet[slot], b, r + 1)
+                if not isinstance(w, CycNum):
+                    w = CycNum.rational(w)
+                if w:
+                    cycs[1 << (_W * (r * tsize + bi))] = w
+            images[index] = SymFuncElem._from_cycs(target, cycs, r + 1)
+        n = lcm(self._n, *(img._n for img in images.values()))
+        d = lcm(1, *(img._den for img in images.values()))
+        for i, img in images.items():
+            f = d // img._den
+            images[i] = {k: [x * f for x in v] for k, v in _lift(img._vecs, img._n, n).items()}
+        powers: dict[tuple[int, int], dict[int, list[int]]] = {}
+
+        def power(index: int, m: int) -> dict[int, list[int]]:
+            p = powers.get((index, m))
+            if p is None:
+                p = images[index]
+                if m > 1:
+                    p = _product(power(index, m - 1), p, n)
+                powers[index, m] = p
+            return p
+
+        # each term's image has denominator d^length; bring all to d^top
+        lengths = {k: sum(_fields(k)) for k in self._vecs}
+        top = max(lengths.values(), default=0)
+        out: dict[int, list[int]] = {}
+        for key, vec in _lift(self._vecs, self._n, n).items():
+            f = d ** (top - lengths[key])
+            acc = {0: [x * f for x in vec]}
+            for index, m in enumerate(_fields(key)):
+                if m:
+                    acc = _product(acc, power(index, m), n)
+            for k, v in acc.items():
+                cur = out.get(k)
+                if cur is None:
+                    out[k] = v
+                else:
+                    for i, x in enumerate(v):
+                        cur[i] += x
+        return SymFuncElem._from_vectors(target, n, out, self._den * d**top, self._weight)
 
     # -- serialization -------------------------------------------------------------
 

@@ -95,6 +95,39 @@ def test_spherical_cache_roundtrip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cache_hit_loads_neither_file(tmp_path, monkeypatch, capsys):
+    from wreathsph import cli
+
+    g, t = paths("q8")
+    args = ["spherical", "--group", g, "--table", t, "--xi", "chi2",
+            "--pi", "iota", "--n", "2", "--engine", "symfunc",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(args + ["--format", "json"]) == 0
+    fresh = capsys.readouterr().out
+
+    def refuse(*_a, **_k):
+        raise AssertionError("a cache hit loaded a data file")
+
+    monkeypatch.setattr(cli, "load_group", refuse)
+    monkeypatch.setattr(cli, "load_table", refuse)
+    assert main(args + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert main(args + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("label,")
+
+
+def test_bad_group_with_empty_cache_is_data_error(tmp_path, capsys):
+    _, t = paths("q8")
+    bad = tmp_path / "group.json"
+    bad.write_text('{"name": "broken"')
+    cache = tmp_path / "cache"
+    rc = main(["spherical", "--group", str(bad), "--table", t, "--xi", "chi2",
+               "--pi", "triv", "--n", "2", "--cache-dir", str(cache)])
+    assert rc == 1
+    assert "error" in capsys.readouterr().err
+    assert not cache.exists() or not list(cache.iterdir())
+
+
 def test_truncated_cache_entry_is_recomputed(tmp_path, capsys):
     g, t = paths("c2")
     args = ["spherical", "--group", g, "--table", t, "--xi", "chi2",

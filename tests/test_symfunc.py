@@ -1,10 +1,11 @@
+from datetime import timedelta
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wreathsph.cyclo import CycNum, ONE
+from wreathsph.cyclo import CycNum, ONE, ZERO, cyc
 from wreathsph.partitions import MultiPartition, Partition, partitions_of, strict_partitions
 from wreathsph.symfunc import (
     SymFuncElem,
@@ -234,3 +235,129 @@ def test_symfunc_json_roundtrip():
     )
     again = SymFuncElem.from_json(x.to_json())
     assert again == x
+
+
+# -- the packed kernel against the dict-of-CycNum reference ----------------------
+#
+# The reference is the earlier storage: MultiPartition keys, CycNum values,
+# products by Partition union and CycNum arithmetic.
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    terms = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1.union(k2)
+            terms[k] = terms.get(k, ZERO) + v1 * v2
+    return {k: v for k, v in terms.items() if v}
+
+
+def ref_add(a: dict, b: dict, c=ONE) -> dict:
+    terms = dict(a)
+    for k, v in b.items():
+        terms[k] = terms.get(k, ZERO) + v * c
+    return {k: v for k, v in terms.items() if v}
+
+
+def ref_change_alphabet(terms: dict, alphabet, coeff, target) -> dict:
+    empty = MultiPartition([P()] * len(target))
+    out = {}
+    for key, c in terms.items():
+        acc = {empty: c}
+        for slot, lam in enumerate(key):
+            for r in lam:
+                images = [(bi, coeff(alphabet[slot], b, r)) for bi, b in enumerate(target)]
+                nxt = {}
+                for mp, v in acc.items():
+                    for bi, w in images:
+                        parts = list(mp.parts)
+                        parts[bi] = parts[bi].union(P((r,)))
+                        nk = MultiPartition(parts)
+                        nxt[nk] = nxt.get(nk, ZERO) + v * w
+                acc = nxt
+        for mp, v in acc.items():
+            out[mp] = out.get(mp, ZERO) + v
+    return {k: v for k, v in out.items() if v}
+
+
+AB = ("a", "b")
+mixed_cycnums = st.builds(
+    lambda n, raw: cyc(n, {k % n: Fraction(p, q) for k, p, q in raw}),
+    st.sampled_from((1, 3, 4, 5, 8)),
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-3, 3), st.integers(1, 3)),
+        min_size=1,
+        max_size=2,
+    ),
+)
+small_parts = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda ps: P(sorted(ps, reverse=True))
+)
+keys = st.builds(lambda a, b: MultiPartition([a, b]), small_parts, small_parts)
+term_dicts = st.dictionaries(keys, mixed_cycnums, max_size=3)
+KERNEL = settings(max_examples=40, deadline=timedelta(seconds=5))
+
+
+@given(term_dicts, term_dicts, mixed_cycnums)
+@KERNEL
+def test_kernel_ring_operations_match_reference(a, b, c):
+    x, y = SymFuncElem(AB, a), SymFuncElem(AB, b)
+    ref_a = {k: v for k, v in a.items() if v}
+    assert x.terms == ref_a
+    assert (x * y).terms == ref_mul(a, b)
+    assert (x + y).terms == ref_add(a, b)
+    assert (x - y).terms == ref_add(a, b, CycNum.rational(-1))
+    assert x.scale(c).terms == {k: v * c for k, v in ref_a.items() if v * c}
+    assert x * y == SymFuncElem(AB, ref_mul(a, b))
+    assert bool(x * y) == bool(ref_mul(a, b))
+    for k in set(a) | set(b):
+        assert (x * y).coefficient(k) == ref_mul(a, b).get(k, ZERO)
+        assert x.coefficient(k, Fraction(3, 2)) == ref_a.get(k, ZERO) * Fraction(3, 2)
+
+
+@given(term_dicts, st.lists(mixed_cycnums, min_size=12, max_size=12))
+@KERNEL
+def test_kernel_change_alphabet_matches_reference(a, table):
+    target = ("u", "v", "w")
+
+    def coeff(s, t, r):
+        return table[(AB.index(s) * 3 + target.index(t)) * 2 % 12 + r % 2]
+
+    got = SymFuncElem(AB, a).change_alphabet(coeff, target)
+    assert got.terms == ref_change_alphabet(a, AB, coeff, target)
+
+
+def test_coefficient_vanishing_mod_phi_leaves_terms():
+    z3 = cyc(3, {1: 1})
+    k, other = MultiPartition([P((2,)), P()]), MultiPartition([P(), P((1,))])
+    # 1 + z3 + z3^2 = 0, held as the vector (1, 1, 1) of Z[x]/(x^3 - 1)
+    one, z = SymFuncElem(AB, {k: ONE}), SymFuncElem(AB, {k: z3})
+    vanishing = one + z + z.scale(z3)
+    assert not vanishing
+    assert vanishing.terms == {}
+    assert vanishing == SymFuncElem(AB)
+    assert vanishing.coefficient(k) == ZERO
+    assert vanishing.to_json()["terms"] == []
+    rest = vanishing + SymFuncElem(AB, {other: z3})
+    assert rest.terms == {other: z3}
+    assert (rest * vanishing).terms == {}
+
+
+def test_full_multiplicity_field_does_not_bleed():
+    full = MultiPartition([P((1,) * 255), P()])
+    x = SymFuncElem.power(AB, 0, P((1,) * 255))
+    assert x.terms == {full: ONE}
+    half = SymFuncElem.power(AB, 0, P((1,) * 128)) * SymFuncElem.power(AB, 0, P((1,) * 127))
+    assert half == x
+    split = SymFuncElem.power(AB, 0, P((1,) * 200)) * SymFuncElem.power(AB, 1, P((1,) * 55))
+    assert split.terms == {MultiPartition([P((1,) * 200), P((1,) * 55)]): ONE}
+    assert (x * SymFuncElem.one(AB)).terms == {full: ONE}
+    with pytest.raises(OverflowError):
+        SymFuncElem.power(AB, 0, P((1,) * 256))
+
+
+def test_weights_past_the_field_limit_raise():
+    x = SymFuncElem.power(AB, 0, P((1,) * 200))
+    for y in (SymFuncElem.power(AB, 0, P((1,) * 56)), SymFuncElem.power(AB, 1, P((2,) * 28))):
+        with pytest.raises(OverflowError, match="255"):
+            x * y
