@@ -8,7 +8,6 @@ written in the exact cyclotomic text form and validated before writing.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wreathsph.cyclo import CycNum, cyc, zeta
 from wreathsph.groups import group_from_perm_gens, validate_table
+from wreathsph.spherical import canonical_json
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "wreathsph" / "data"
 
@@ -23,7 +23,7 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "wreathsph" / "data"
 def dump(name: str, obj: dict):
     DATA.mkdir(parents=True, exist_ok=True)
     path = DATA / name
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(canonical_json(obj))
     print("wrote", path)
 
 

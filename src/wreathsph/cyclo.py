@@ -6,6 +6,13 @@ cyclotomic polynomial.  Conductors are always minimized (2 mod 4 is
 never used, rationals live at conductor 1), so two equal values always
 have identical (conductor, coefficient) data and ==/hash are cheap.
 
+Ring operations run on integer vectors in Z[x]/(x^N - 1) over one
+denominator (cyc_vector, convolve_into, sum_products); vector_cyc is the
+one place a vector is reduced mod Phi_N and its conductor descended, and
+canonicalize only converts an exponent -> rational map into such a vector.
+Sums and products of two rationals, and a rational times any value, skip
+the vectors.
+
 Values are immutable after construction (two lazily filled caches
 aside, the hash and cyc_vector's last form, whose races only repeat
 work); everything here is safe to share between threads.
@@ -16,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import lcm
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -95,7 +102,7 @@ def _subfield_basis(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tab[(step * j) % n] for j in range(_phi_deg(m)))
 
 
-def _solve_subfield(n: int, m: int, vec: list[Fraction]) -> list[Fraction] | None:
+def _solve_subfield(n: int, m: int, vec: list[int | Fraction]) -> list[Fraction] | None:
     """Write vec (over the Q(zeta_n) basis) over the Q(zeta_m) basis, if possible."""
     cols = _subfield_basis(n, m)
     rows, ncols = _phi_deg(n), len(cols)
@@ -180,21 +187,18 @@ class CycNum:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _lift(self, big: int) -> dict[int, Fraction]:
-        step = big // self.conductor
-        return {(k * step) % big: v for k, v in self.coeffs.items()}
-
     def __add__(self, other) -> "CycNum":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
             return CycNum.rational(self.coeffs.get(0, 0) + other.coeffs.get(0, 0))
-        big = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        a = self._lift(big)
-        for k, v in other._lift(big).items():
-            a[k] = a.get(k, Fraction(0)) + v
-        return CycNum(big, a)
+        n = lcm(self.conductor, other.conductor)
+        va, da = cyc_vector(self, n)
+        vb, db = cyc_vector(other, n)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return vector_cyc([x * fa + y * fb for x, y in zip(va, vb)], den)
 
     __radd__ = __add__
 
@@ -223,14 +227,12 @@ class CycNum:
             return CycNum(other.conductor, {k: c * v for k, v in other.coeffs.items()}, _raw=True)
         if other.conductor == 1:
             return other * self
-        big = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        a, b = self._lift(big), other._lift(big)
-        prod: dict[int, Fraction] = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = (ka + kb) % big
-                prod[k] = prod.get(k, Fraction(0)) + va * vb
-        return CycNum(big, prod)
+        n = lcm(self.conductor, other.conductor)
+        va, da = cyc_vector(self, n)
+        vb, db = cyc_vector(other, n)
+        acc = [0] * n
+        convolve_into(acc, va, vb)
+        return vector_cyc(acc, da * db)
 
     __rmul__ = __mul__
 
@@ -321,45 +323,21 @@ def _coerce(x) -> CycNum:
     return NotImplemented
 
 
-def canonicalize(conductor: int, raw: dict[int, Fraction]) -> CycNum:
-    """Reduce an exponent->rational map modulo Phi_N and minimize the conductor."""
+def canonicalize(conductor: int, raw: dict[int, int | Fraction]) -> CycNum:
+    """Sum_k raw[k] * zeta_conductor^k in canonical form (see vector_cyc)."""
     if conductor < 1:
         raise ValueError(f"conductor must be >= 1, got {conductor}")
-    n = conductor
-    merged: dict[int, Fraction] = {}
+    raw = {k: Fraction(v) for k, v in raw.items()}
+    den = lcm(1, *(v.denominator for v in raw.values()))
+    vec = [0] * conductor
     for k, v in raw.items():
-        v = Fraction(v)
-        if v:
-            k %= n
-            merged[k] = merged.get(k, Fraction(0)) + v
-    d = _phi_deg(n)
-    vec = [Fraction(0)] * d
-    tab = _power_table(n)
-    for k, v in merged.items():
-        if v:
-            row = tab[k]
-            for i in range(d):
-                if row[i]:
-                    vec[i] += v * row[i]
-    # conductor descent
-    while n > 1:
-        if not any(vec[1:]):
-            n, vec = 1, [vec[0]]
-            break
-        for p in _prime_factors(n):
-            sol = _solve_subfield(n, n // p, vec)
-            if sol is not None:
-                n, vec = n // p, sol
-                break
-        else:
-            break
-    coeffs = {i: v for i, v in enumerate(vec) if v}
-    return CycNum(n, coeffs, _raw=True)
+        vec[k % conductor] += v.numerator * (den // v.denominator)
+    return vector_cyc(vec, den)
 
 
 def cyc(conductor: int, raw: dict[int, int | Fraction]) -> CycNum:
     """Build Sum_k raw[k] * zeta_conductor^k in canonical form."""
-    return canonicalize(conductor, {k: Fraction(v) for k, v in raw.items()})
+    return canonicalize(conductor, raw)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:
@@ -376,7 +354,8 @@ ONE = CycNum.rational(1)
 # vec of length n and one positive denominator, is not unique: x^n - 1 has
 # more factors than Phi_n.  Products are cyclic convolutions, sums aligned
 # integer adds; vector_cyc is where a vector is reduced mod Phi_n and its
-# conductor descended, once, as it leaves as a CycNum.
+# conductor descended, once, as it leaves as a CycNum.  CycNum's own + and *
+# are one such add or convolution followed by vector_cyc.
 
 
 def cyc_vector(x: CycNum, n: int) -> tuple[list[int], int]:
@@ -411,8 +390,8 @@ def convolve_into(acc: list[int], a: list[int], b: list[int]) -> None:
 
 
 def vector_cyc(vec: list[int], den: int) -> CycNum:
-    """The canonical CycNum of sum_k vec[k] zeta_n^k / den, n = len(vec).
-    Zero and rational values need no canonicalize call."""
+    """The canonical CycNum of sum_k vec[k] zeta_n^k / den, n = len(vec):
+    the one place a value is reduced mod Phi_n and its conductor descended."""
     n = len(vec)
     d = _phi_deg(n)
     red = vec[:d]
@@ -423,14 +402,23 @@ def vector_cyc(vec: list[int], den: int) -> CycNum:
             for i, c in enumerate(tab[k]):
                 if c:
                     red[i] += v * c
-    if not any(red[1:]):
-        return CycNum(1, {0: Fraction(red[0], den)}, _raw=True) if red[0] else ZERO
-    return canonicalize(n, {i: Fraction(v, den) for i, v in enumerate(red) if v})
+    while n > 1:
+        if not any(red[1:]):
+            n, red = 1, red[:1]
+            break
+        for p in _prime_factors(n):
+            sol = _solve_subfield(n, n // p, red)
+            if sol is not None:
+                n, red = n // p, sol
+                break
+        else:
+            break
+    return CycNum(n, {i: Fraction(v, den) for i, v in enumerate(red) if v}, _raw=True)
 
 
 def sum_products(items) -> CycNum:
     """Sum of a * b * w over (a, b, w) triples: one integer accumulator in
-    Z[x]/(x^N - 1) over one common denominator, canonicalized once."""
+    Z[x]/(x^N - 1) over one common denominator, reduced once."""
     items = list(items)
     big = 1
     for a, b, _ in items:

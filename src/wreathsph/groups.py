@@ -103,12 +103,6 @@ class FiniteGroup:
 
     # -- element helpers ----------------------------------------------------
 
-    def product(self, *xs: int) -> int:
-        out = 0
-        for x in xs:
-            out = self.mul[out][x]
-        return out
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -295,10 +289,10 @@ def twisted_indicator(table: CharacterTable, xi: int, chi: int) -> int:
     group = table.group
     if table.degrees[xi] != 1:
         raise GroupError("twist character must be linear")
-    tot = ZERO
-    for x in range(group.order):
-        sq = group.mul[x][x]
-        tot = tot + table.value(xi, x).conjugate() * table.value(chi, sq)
+    tot = sum_products(
+        (table.value(xi, x).conjugate(), table.value(chi, group.mul[x][x]), 1)
+        for x in range(group.order)
+    )
     val = (tot * Fraction(1, group.order)).try_rational()
     if val is None or val.denominator != 1 or val not in (-1, 0, 1):
         raise GroupError(f"indicator out of range for row {chi}: {tot}")

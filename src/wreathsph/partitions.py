@@ -242,11 +242,6 @@ class MultiPartition:
     def sort_key(self):
         return tuple(p.parts for p in self.parts)
 
-    def union(self, other: "MultiPartition") -> "MultiPartition":
-        if len(self) != len(other):
-            raise ValueError("alphabet size mismatch")
-        return MultiPartition(a.union(b) for a, b in zip(self.parts, other.parts))
-
     def hat(self) -> Partition:
         """The single partition collecting every part of every component."""
         allparts: list[int] = []
@@ -257,19 +252,8 @@ class MultiPartition:
     def transpose(self) -> "MultiPartition":
         return MultiPartition(p.transpose() for p in self.parts)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p.parts)
-
     def to_json(self, labels) -> dict:
         return {str(labels[i]): list(p.parts) for i, p in enumerate(self.parts) if p.parts}
-
-    @staticmethod
-    def from_json(obj: dict, labels) -> "MultiPartition":
-        index = {str(lab): i for i, lab in enumerate(labels)}
-        parts = [Partition()] * len(index)
-        for key, val in obj.items():
-            parts[index[key]] = Partition(val)
-        return MultiPartition(parts)
 
 
 def multipartitions(num_slots: int, n: int) -> tuple[MultiPartition, ...]:

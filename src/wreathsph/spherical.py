@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from math import factorial
 from pathlib import Path
 
-from .cyclo import CycNum, ONE, ZERO
+from .cyclo import CycNum, ONE, ZERO, sum_products
 from .groups import (
     Caps,
     CapExceeded,
@@ -153,11 +153,11 @@ class SphericalContext:
         }
 
     @cached_property
-    def col_keys(self) -> list[tuple[MultiPartition, int, Fraction]]:
+    def col_keys(self) -> list[tuple[int, Fraction]]:
         """Per column, its packed key and the scale |K| / col_weights from
         its coefficient in the symmetric-function image to its value."""
         return [
-            (rho, pack_key(rho), Fraction(self.hg_size, self.col_weights[rho]))
+            (pack_key(rho), Fraction(self.hg_size, self.col_weights[rho]))
             for rho in self.cols
         ]
 
@@ -186,10 +186,11 @@ class SphericalContext:
         return weights
 
     def brute_at_element(self, lam: MultiPartition, x: WreathElement) -> CycNum:
-        tot = ZERO
-        for t, w in self._weights_at(x).items():
-            tot = tot + wreath_character(self.table, lam, t) * w
-        return tot * Fraction(1, self.hg_size)
+        scale = Fraction(1, self.hg_size)
+        return sum_products(
+            (wreath_character(self.table, lam, t), w, scale)
+            for t, w in self._weights_at(x).items()
+        )
 
     @cached_property
     def _row_set(self) -> frozenset:
@@ -434,12 +435,11 @@ def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
     return SymFuncElem.one(ctx.merged_names) if result is None else result
 
 
-def spherical_from_symfunc(
-    ctx: SphericalContext, lam: MultiPartition
-) -> dict[MultiPartition, CycNum]:
-    """Spherical values recovered from the symmetric-function image."""
+def spherical_from_symfunc(ctx: SphericalContext, lam: MultiPartition) -> list[CycNum]:
+    """Spherical values recovered from the symmetric-function image, one per
+    column of ctx.cols, in that order."""
     rhs = ch_image_product(ctx, lam)
-    return {rho: rhs.coefficient(key, scale) for rho, key, scale in ctx.col_keys}
+    return [rhs.coefficient(key, scale) for key, scale in ctx.col_keys]
 
 
 # -- table + reconciliation -----------------------------------------------------------------
@@ -535,7 +535,7 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
                     )
                 values[(i, j)] = v
             else:
-                values[(i, j)] = sym_vals[rho]
+                values[(i, j)] = sym_vals[j]
     return SphericalTable(
         ctx.group.name,
         ctx.table.names[ctx.xi],

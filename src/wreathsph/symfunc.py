@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .cyclo import CycNum, ONE, ZERO, convolve_into, cyc_vector, vector_cyc
+from .cyclo import CycNum, ZERO, convolve_into, cyc_vector, vector_cyc
 from .partitions import (
     MultiPartition,
     Partition,
@@ -385,6 +385,15 @@ def _product(a: dict[int, list[int]], b: dict[int, list[int]], n: int):
     return out
 
 
+def _cyc_vectors(cycs: dict[int, CycNum]) -> tuple[int, dict[int, list[int]], int]:
+    """Packed key -> CycNum as (N, packed key -> vector, denominator), over
+    the lcm N of the conductors and one common denominator."""
+    n = lcm(1, *(v.conductor for v in cycs.values()))
+    pairs = {k: cyc_vector(v, n) for k, v in cycs.items()}
+    den = lcm(1, *(d for _, d in pairs.values()))
+    return n, {k: [x * (den // d) for x in v] for k, (v, d) in pairs.items()}, den
+
+
 class SymFuncElem:
     """A finite p-basis combination over a fixed ordered label alphabet,
     with cyclotomic coefficients.  Immutable by convention.
@@ -396,7 +405,7 @@ class SymFuncElem:
 
     __slots__ = ("alphabet", "_n", "_vecs", "_den", "_weight", "_reduced", "_terms")
 
-    def __init__(self, alphabet, terms: dict[MultiPartition, CycNum] | None = None):
+    def __new__(cls, alphabet, terms: dict[MultiPartition, CycNum] | None = None):
         alphabet = tuple(alphabet)
         cycs: dict[int, CycNum] = {}
         weight = 0
@@ -408,23 +417,7 @@ class SymFuncElem:
             if v:
                 cycs[pack_key(k)] = v
                 weight = max(weight, k.weight)
-        self._set_cycs(alphabet, cycs, weight)
-
-    def _set_cycs(self, alphabet, cycs: dict[int, CycNum], weight: int) -> None:
-        n = lcm(1, *(v.conductor for v in cycs.values()))
-        pairs = {k: cyc_vector(v, n) for k, v in cycs.items()}
-        den = lcm(1, *(d for _, d in pairs.values()))
-        self.alphabet = alphabet
-        self._n, self._den, self._weight = n, den, weight
-        self._vecs = {k: [x * (den // d) for x in v] for k, (v, d) in pairs.items()}
-        self._reduced, self._terms = cycs, None
-
-    @classmethod
-    def _from_cycs(cls, alphabet, cycs: dict[int, CycNum], weight: int) -> "SymFuncElem":
-        """An element from packed keys and nonzero canonical coefficients."""
-        out = object.__new__(cls)
-        out._set_cycs(tuple(alphabet), cycs, weight)
-        return out
+        return cls._from_vectors(alphabet, *_cyc_vectors(cycs), weight)
 
     @classmethod
     def _from_vectors(cls, alphabet, n: int, vecs: dict[int, list[int]], den: int, weight):
@@ -444,14 +437,7 @@ class SymFuncElem:
 
     @staticmethod
     def one(alphabet) -> "SymFuncElem":
-        return SymFuncElem._from_cycs(alphabet, {0: ONE}, 0)
-
-    @staticmethod
-    def power(alphabet, slot: int, rho: Partition) -> "SymFuncElem":
-        """p_rho in the given slot."""
-        alphabet = tuple(alphabet)
-        key = _pack_partition(rho, slot, len(alphabet))
-        return SymFuncElem._from_cycs(alphabet, {key: ONE}, rho.size)
+        return SymFuncElem._from_vectors(tuple(alphabet), 1, {0: [1]}, 1, 0)
 
     @staticmethod
     def from_p_expr(alphabet, slot: int, f: PExpr) -> "SymFuncElem":
@@ -462,7 +448,7 @@ class SymFuncElem:
             if c
         }
         weight = max((rho.size for rho in f), default=0)
-        return SymFuncElem._from_cycs(alphabet, cycs, weight)
+        return SymFuncElem._from_vectors(alphabet, *_cyc_vectors(cycs), weight)
 
     # -- ring operations -----------------------------------------------------
 
@@ -571,9 +557,6 @@ class SymFuncElem:
             vec = [x * num for x in vec]
         return vector_cyc(vec, self._den * scale.denominator)
 
-    def degrees(self) -> set[int]:
-        return {k.weight for k in self.terms}
-
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
         body = " + ".join(f"({v})*p[{k.to_json(self.alphabet)}]" for k, v in items)
@@ -606,12 +589,12 @@ class SymFuncElem:
                     w = CycNum.rational(w)
                 if w:
                     cycs[1 << (_W * (r * tsize + bi))] = w
-            images[index] = SymFuncElem._from_cycs(target, cycs, r + 1)
-        n = lcm(self._n, *(img._n for img in images.values()))
-        d = lcm(1, *(img._den for img in images.values()))
-        for i, img in images.items():
-            f = d // img._den
-            images[i] = {k: [x * f for x in v] for k, v in _lift(img._vecs, img._n, n).items()}
+            images[index] = _cyc_vectors(cycs)
+        n = lcm(self._n, *(m for m, _, _ in images.values()))
+        d = lcm(1, *(den for _, _, den in images.values()))
+        for i, (m, vecs, den) in images.items():
+            f = d // den
+            images[i] = {k: [x * f for x in v] for k, v in _lift(vecs, m, n).items()}
         powers: dict[tuple[int, int], dict[int, list[int]]] = {}
 
         def power(index: int, m: int) -> dict[int, list[int]]:
@@ -652,14 +635,3 @@ class SymFuncElem:
                 {"key": k.to_json(self.alphabet), "coeff": str(v)} for k, v in items
             ],
         }
-
-    @staticmethod
-    def from_json(obj: dict, alphabet=None) -> "SymFuncElem":
-        from .cyclo import parse_cyc
-
-        labels = tuple(obj["alphabet"]) if alphabet is None else tuple(alphabet)
-        terms = {}
-        for t in obj["terms"]:
-            key = MultiPartition.from_json(t["key"], labels)
-            terms[key] = parse_cyc(t["coeff"])
-        return SymFuncElem(labels, terms)

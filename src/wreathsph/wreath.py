@@ -11,7 +11,7 @@ from functools import cache
 from itertools import permutations, product as iproduct
 from math import factorial
 
-from .cyclo import CycNum, ZERO
+from .cyclo import CycNum, ONE, ZERO, sum_products
 from .groups import (
     Caps,
     CapExceeded,
@@ -117,9 +117,6 @@ class WreathElement:
 
     base: tuple[int, ...]
     perm: Perm
-
-    def degree(self) -> int:
-        return len(self.base)
 
 
 def w_identity(n: int) -> WreathElement:
@@ -562,13 +559,13 @@ def decompose_induced(
         by_sizes.setdefault(tuple(p.size for p in rho), []).append((rho, a))
     out: dict[MultiPartition, int] = {}
     for lam in lams:
-        tot = ZERO
+        terms = []
         for rho, a in by_sizes.get(tuple(p.size for p in lam), ()):
             coef = 1
             for part, r in zip(lam, rho):
                 coef *= sym_character(part, r)
-            if coef:
-                tot = tot + a * coef
+            terms.append((a, ONE, coef))
+        tot = sum_products(terms)
         val = (tot * Fraction(1, hg_size)).try_rational()
         if val is None or val.denominator != 1 or val < 0:
             raise GroupError(f"non-integral multiplicity {tot} at {lam}")

@@ -1,9 +1,23 @@
+from datetime import timedelta
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wreathsph.cyclo import CycNum, ONE, ZERO, canonicalize, cyc, parse_cyc, zeta
+from wreathsph.cyclo import (
+    CycNum,
+    ONE,
+    ZERO,
+    _phi_deg,
+    _power_table,
+    _prime_factors,
+    _solve_subfield,
+    canonicalize,
+    cyc,
+    parse_cyc,
+    zeta,
+)
 
 ROOT2_I = cyc(8, {1: 1, 3: 1})  # the value whose square is -2
 
@@ -140,3 +154,113 @@ def test_sum_products_matches_naive(items):
     for a, b, w in items:
         naive = naive + a * b * Fraction(w)
     assert sum_products(items) == naive
+
+
+# -- the integer kernel against the dict-of-Fraction reference ---------------------
+#
+# The reference is the earlier arithmetic: exponent -> Fraction maps, lifted to
+# a common conductor by re-keying, multiplied by dict convolution, reduced mod
+# Phi_N through the power table in Fractions and descended prime by prime.
+# Values are compared as their (conductor, coeffs) data.
+
+
+def ref_canonicalize(n: int, raw: dict) -> tuple[int, dict]:
+    merged: dict[int, Fraction] = {}
+    for k, v in raw.items():
+        if v:
+            merged[k % n] = merged.get(k % n, Fraction(0)) + Fraction(v)
+    vec = [Fraction(0)] * _phi_deg(n)
+    tab = _power_table(n)
+    for k, v in merged.items():
+        for i, c in enumerate(tab[k]):
+            vec[i] += v * c
+    while n > 1:
+        if not any(vec[1:]):
+            n, vec = 1, [vec[0]]
+            break
+        for p in _prime_factors(n):
+            sol = _solve_subfield(n, n // p, vec)
+            if sol is not None:
+                n, vec = n // p, sol
+                break
+        else:
+            break
+    return n, {i: v for i, v in enumerate(vec) if v}
+
+
+def ref_lift(x: CycNum, big: int) -> dict:
+    step = big // x.conductor
+    return {(k * step) % big: v for k, v in x.coeffs.items()}
+
+
+def ref_add(a: CycNum, b: CycNum) -> tuple[int, dict]:
+    big = lcm(a.conductor, b.conductor)
+    out = ref_lift(a, big)
+    for k, v in ref_lift(b, big).items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return ref_canonicalize(big, out)
+
+
+def ref_mul(a: CycNum, b: CycNum) -> tuple[int, dict]:
+    big = lcm(a.conductor, b.conductor)
+    out: dict[int, Fraction] = {}
+    for ka, va in ref_lift(a, big).items():
+        for kb, vb in ref_lift(b, big).items():
+            k = (ka + kb) % big
+            out[k] = out.get(k, Fraction(0)) + va * vb
+    return ref_canonicalize(big, out)
+
+
+def ref_conjugate(a: CycNum) -> tuple[int, dict]:
+    n = a.conductor
+    return ref_canonicalize(n, {(n - k) % n: v for k, v in a.coeffs.items()})
+
+
+def form(x: CycNum) -> tuple[int, dict]:
+    return x.conductor, x.coeffs
+
+
+@st.composite
+def raw_values(draw):
+    """(conductor, exponent -> rational) over the kernel's test conductors."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 8, 12, 15)))
+    size = draw(st.integers(0, 4))
+    return n, {draw(st.integers(0, n - 1)): draw(small_rationals) for _ in range(size)}
+
+
+@given(raw_values(), st.sampled_from((1, 2, 3)))
+@settings(max_examples=120, deadline=timedelta(seconds=5))
+def test_canonicalize_matches_reference(value, m):
+    # written at N, 2N or 3N, the value descends to the same canonical form
+    n, raw = value
+    x = canonicalize(n, raw)
+    assert form(x) == ref_canonicalize(n, raw)
+    written = {k * m: v for k, v in raw.items()}
+    assert form(canonicalize(m * n, written)) == form(x)
+    assert ref_canonicalize(m * n, written) == form(x)
+
+
+@given(raw_values(), raw_values())
+@settings(max_examples=120, deadline=timedelta(seconds=5))
+def test_ring_operations_match_reference(u, v):
+    a, b = canonicalize(*u), canonicalize(*v)
+    assert form(a + b) == ref_add(a, b)
+    assert form(a * b) == ref_mul(a, b)
+    assert form(a - b) == ref_add(a, -b)
+    assert form(a.conjugate()) == ref_conjugate(a)
+
+
+@pytest.mark.parametrize(
+    "n, raw, expect",
+    [
+        (5, {1: 1, 2: 1, 3: 1, 4: 1}, (1, {0: Fraction(-1)})),
+        (15, {3: 1, 6: 1, 9: 1, 12: 1}, (1, {0: Fraction(-1)})),
+        (24, {6: 1}, (4, {1: Fraction(1)})),
+        (36, {12: 2}, (3, {1: Fraction(2)})),
+        (24, {4: 1}, (3, {0: Fraction(1), 1: Fraction(1)})),
+        (16, {2: 1, 6: 1}, (8, {1: Fraction(1), 3: Fraction(1)})),
+        (30, {6: Fraction(1, 2), 10: 3}, ref_canonicalize(15, {3: Fraction(1, 2), 5: 3})),
+    ],
+)
+def test_values_written_high_descend(n, raw, expect):
+    assert form(canonicalize(n, raw)) == expect == ref_canonicalize(n, raw)

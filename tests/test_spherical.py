@@ -252,7 +252,7 @@ def test_ch_image_product_grading_and_zonal_case():
     ctx = ctx_of("c1", 0, "triv", 2)
     for lam in ctx.rows:
         rhs = ch_image_product(ctx, lam)
-        assert rhs.degrees() == {2}
+        assert {k.weight for k in rhs.terms} == {2}
     # zonal route: the trivial-group image is the Jack expansion itself
     from wreathsph.symfunc import jack_p_expr
 
@@ -275,8 +275,9 @@ def test_symfunc_engine_matches_brute():
         ctx = ctx_of(name, xi, pi, n)
         for lam in ctx.rows:
             vals = spherical_from_symfunc(ctx, lam)
-            for rho in ctx.cols:
-                assert vals[rho] == ctx.brute(lam, rho)
+            assert len(vals) == len(ctx.cols)
+            for rho, v in zip(ctx.cols, vals):
+                assert v == ctx.brute(lam, rho)
 
 
 def test_reconcile_extra_configurations():
