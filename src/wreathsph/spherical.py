@@ -66,6 +66,7 @@ from .wreath import (
     k_order,
     k_type_weights,
     p_compose,
+    p_cycles,
     p_inverse,
     perm_of_partition,
     pi_value,
@@ -224,13 +225,18 @@ class SphericalContext:
 def _classical_buckets(pi: str, rho_hat: Partition) -> dict[Partition, int]:
     """Per cycle type of h t^-1, the sum of pi(h) over the centralizer
     subgroup H_n, where t is the doubled-cycle permutation of rho_hat.
-    Zero sums are dropped."""
+    Zero sums are dropped.  Buckets are keyed by the sorted cycle lengths;
+    each nonzero one is labelled by cycle_type at its first element."""
     tinv = p_inverse(perm_of_partition(Partition(tuple(2 * p for p in rho_hat))))
-    buckets: dict[Partition, int] = {}
+    buckets: dict[tuple[int, ...], list] = {}
     for h in hyperoct_perms(rho_hat.size):
-        t = cycle_type(p_compose(h, tinv))
-        buckets[t] = buckets.get(t, 0) + pi_value(pi, h)
-    return {t: w for t, w in buckets.items() if w}
+        ht = p_compose(h, tinv)
+        key = tuple(sorted(len(c) for c in p_cycles(ht)))
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = [ht, 0]
+        bucket[1] += pi_value(pi, h)
+    return {cycle_type(ht): w for ht, w in buckets.values() if w}
 
 
 def classical_spherical(shape: Partition, pi: str, rho_hat: Partition) -> Fraction:

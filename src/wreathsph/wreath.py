@@ -326,8 +326,10 @@ def hyperoct_perms(n: int) -> tuple[Perm, ...]:
     return tuple(out)
 
 
+@cache
 def pi_value(pi: str, sigma: Perm) -> int:
-    """Value of one of the four linear characters of the centralizer subgroup."""
+    """Value of one of the four linear characters of the centralizer subgroup;
+    raises GroupError when sigma is not in it.  Memoized per (pi, sigma)."""
     eps, tau = hyperoct_decompose(sigma)
     if pi == "triv":
         return 1
@@ -378,15 +380,21 @@ class PairedChar:
             raise ValueError(f"unknown pi name {self.pi!r}")
 
     def value(self, x: WreathElement) -> CycNum:
+        """theta(x); raises GroupError when x is not in the subgroup.  The
+        permutation is decomposed once, by the memoized pi_value."""
         group = self.table.group
         base = x.base
         n = len(base) // 2
-        if not in_hg(x):
-            raise GroupError("element is not in the doubled-base subgroup")
+        try:
+            if any(base[2 * i] != base[2 * i + 1] for i in range(n)):
+                raise GroupError("base is not doubled")
+            sign = pi_value(self.pi, x.perm)
+        except GroupError:
+            raise GroupError("element is not in the doubled-base subgroup") from None
         prod = 0
         for i in range(n):
             prod = group.mul[prod][base[2 * i]]
-        return self.table.value(self.xi, prod) * pi_value(self.pi, x.perm)
+        return self.table.value(self.xi, prod) * sign
 
     def name(self) -> str:
         return f"({self.table.names[self.xi]},{self.pi})"
@@ -505,6 +513,24 @@ def conj_theta_values(theta: PairedChar, hg: list[WreathElement]) -> list[CycNum
     return [distinct.setdefault(v, v) for v in (theta.value(h).conjugate() for h in hg)]
 
 
+def _cycle_walk(perm: Perm, xinv: WreathElement) -> list[tuple[int, tuple]]:
+    """For every h with permutation perm, the cycles of h x^-1 in the order
+    class_type walks them: per cycle, its length and the (position, base
+    of x^-1 that position picks up) steps it visits."""
+    hinv = p_inverse(perm)
+    yperm = p_compose(perm, xinv.perm)
+    yinv = p_inverse(yperm)
+    walk = []
+    for cyc in p_cycles(yperm):
+        steps = []
+        cur = cyc[0]
+        for _ in cyc:
+            steps.append((cur, xinv.base[hinv[cur]]))
+            cur = yinv[cur]
+        walk.append((len(cyc), tuple(steps)))
+    return walk
+
+
 def k_type_weights(
     group: FiniteGroup,
     hg: list[WreathElement],
@@ -512,13 +538,40 @@ def k_type_weights(
     x: WreathElement,
 ) -> dict[MultiPartition, CycNum]:
     """One pass over the subgroup: per class type of h x^-1, the sum of the
-    weights of the h of hg with that type.  Zero sums are dropped."""
+    weights of the h of hg with that type.  Zero sums are dropped.
+
+    The cycles of h x^-1 depend only on h's permutation, so they are walked
+    once per permutation; each element only multiplies its base along them.
+    A bucket counts its distinct weights and is summed once, and each
+    nonzero bucket is labelled by class_type at its first element."""
     xinv = w_inv(group, x)
-    out: dict[MultiPartition, CycNum] = {}
+    mul, class_of = group.mul, group.class_of
+    walks: dict[Perm, list[tuple[int, tuple]]] = {}
+    buckets: dict[tuple, tuple[WreathElement, dict[CycNum, int]]] = {}
     for h, w in zip(hg, weights):
-        t = class_type(group, w_mul(group, h, xinv))
-        out[t] = out.get(t, ZERO) + w
-    return {t: v for t, v in out.items() if v}
+        walk = walks.get(h.perm)
+        if walk is None:
+            walk = walks[h.perm] = _cycle_walk(h.perm, xinv)
+        base = h.base
+        key = []
+        for length, steps in walk:
+            prod = 0
+            for pos, g in steps:
+                prod = mul[prod][mul[base[pos]][g]]
+            key.append((class_of[prod], length))
+        key.sort()
+        key = tuple(key)
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = (h, {})
+        counts = bucket[1]
+        counts[w] = counts.get(w, 0) + 1
+    out: dict[MultiPartition, CycNum] = {}
+    for h0, counts in buckets.values():
+        total = sum_products((w, ONE, c) for w, c in counts.items())
+        if total:
+            out[class_type(group, w_mul(group, h0, xinv))] = total
+    return out
 
 
 # -- induced-character decomposition ---------------------------------------------

@@ -404,11 +404,20 @@ def test_table_serialization_deterministic(tmp_path):
 )
 def test_brute_passes_over_k(monkeypatch, config):
     # one pass over K per column plus one at the identity, for a whole table
-    # and for a whole reconcile; theta once per element of K per context
+    # and for a whole reconcile; theta once per element of K per context;
+    # class_type at most once per bucket a pass returns
+    import wreathsph.spherical as spherical
     import wreathsph.wreath as wreath
 
-    counts = {"class_type": 0, "theta": 0}
+    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0}
+    k_type_weights = spherical.k_type_weights
     class_type, theta_value = wreath.class_type, wreath.PairedChar.value
+
+    def counting_k_type_weights(*args):
+        counts["passes"] += 1
+        weights = k_type_weights(*args)
+        counts["buckets"] += len(weights)
+        return weights
 
     def counting_class_type(group, x):
         counts["class_type"] += 1
@@ -418,19 +427,20 @@ def test_brute_passes_over_k(monkeypatch, config):
         counts["theta"] += 1
         return theta_value(self, x)
 
+    monkeypatch.setattr(spherical, "k_type_weights", counting_k_type_weights)
     monkeypatch.setattr(wreath, "class_type", counting_class_type)
     monkeypatch.setattr(wreath.PairedChar, "value", counting_theta_value)
     for run in (lambda ctx: build_table(ctx, "brute"), reconcile):
         ctx = ctx_of(*config)
-        counts.update(class_type=0, theta=0)
+        counts.update(passes=0, buckets=0, class_type=0, theta=0)
         run(ctx)
-        assert counts == {
-            "class_type": (len(ctx.cols) + 1) * ctx.hg_size,
-            "theta": ctx.hg_size,
-        }
+        assert counts["passes"] == len(ctx.cols) + 1
+        assert counts["theta"] == ctx.hg_size
+        assert 0 < counts["class_type"] <= counts["buckets"]
         # the weights are kept: the same table again makes no pass
+        after = dict(counts)
         build_table(ctx, "brute")
-        assert counts["class_type"] == (len(ctx.cols) + 1) * ctx.hg_size
+        assert counts == after
 
 
 def direct_classical_spherical(shape, pi, rho_hat):

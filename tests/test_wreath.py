@@ -21,6 +21,7 @@ from wreathsph.wreath import (
     _self_row_family,
     WreathElement,
     class_type,
+    conj_theta_values,
     coset_label_set,
     coset_rep,
     cycle_type,
@@ -33,6 +34,7 @@ from wreathsph.wreath import (
     in_hg,
     irrep_label_set,
     k_basis_sg2,
+    k_type_weights,
     p_compose,
     p_from_transpositions,
     p_identity,
@@ -222,6 +224,13 @@ def test_theta_rejects_outside_subgroup():
     theta = PairedChar(table, 1, "triv", 1)
     with pytest.raises(GroupError):
         theta.value(WreathElement((0, 1), p_identity(2)))
+    # a doubled base whose permutation moves a point across the pair blocks;
+    # the memoized decomposition must not turn the second call into a value
+    theta = PairedChar(table, 1, "iota", 2)
+    outside = WreathElement((1, 1, 0, 0), (1, 2, 0, 3))
+    for _ in range(2):
+        with pytest.raises(GroupError, match="not in the doubled-base subgroup"):
+            theta.value(outside)
 
 
 def test_block_permutation_anchor():
@@ -444,6 +453,48 @@ def test_decompose_inverse_map_matches_forward_rows(name):
                 if tot:
                     direct[lam] = tot.as_int()
             assert decompose_induced(table, theta) == direct, (xi, pi)
+
+
+def per_element_k_type_weights(types, weights):
+    """The reference pass over K: the sum of the weights per class type by
+    one CycNum + per element, where types[i] is class_type(h_i x^-1)."""
+    out = {}
+    for t, w in zip(types, weights):
+        out[t] = out.get(t, ZERO) + w
+    return {t: v for t, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["c2", "c3", "c4", "q8", "gl2f3"])
+def test_k_type_weights_matches_per_element_reference(name, n):
+    # equal buckets in the same order, at the identity, at every coset
+    # representative and at seeded elements of G wr S_2n outside K
+    group, table = bundled(name)
+    rng = random.Random(f"{name}-{n}")
+    hg = hg_elements(group, n)
+    # k_type_weights takes any list of elements with their weights; K of
+    # gl2f3 at n = 2 has 18,432 elements, so there a seeded sample stands in
+    if len(hg) > 4096:
+        hg = rng.sample(hg, 256)
+    outside = []
+    while len(outside) < 3:
+        x = random_element(group, 2 * n, rng)
+        if not in_hg(x):
+            outside.append(x)
+    for xi in linear_characters(table):
+        fusion = fuse_classes(group, table, xi)
+        weights = {
+            pi: conj_theta_values(PairedChar(table, xi, pi, n), hg) for pi in PI_NAMES
+        }
+        for x in [w_identity(2 * n), *outside] + [
+            coset_rep(group, fusion, rho) for rho in multipartitions(len(fusion.merged), n)
+        ]:
+            xinv = w_inv(group, x)
+            types = [class_type(group, w_mul(group, h, xinv)) for h in hg]
+            for pi in PI_NAMES:
+                got = k_type_weights(group, hg, weights[pi], x)
+                want = per_element_k_type_weights(types, weights[pi])
+                assert list(got.items()) == list(want.items()), (xi, pi, x)
 
 
 def test_hecke_vanishing_small():
