@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -175,6 +176,7 @@ class CharacterTable:
         self.degrees = tuple(row[self.group.class_of[0]].as_int() for row in self.rows)
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
+        self._fusions = {}  # fuse_classes results by twist
 
     def value(self, row: int, element: int) -> CycNum:
         return self.rows[row][self.group.class_of[element]]
@@ -322,12 +324,25 @@ class ClassFusion:
     eta: int
     merged: tuple[MergedClass, ...]
     row_partner: tuple[int, ...]  # row index of conj(chi) * eta per row
+    nu: tuple[int, ...]  # twisted indicator of each row at eta
     eta_reps: tuple[int, ...]  # chosen representative rows, one per pair
     stats: dict
 
 
 def fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFusion:
-    """Merge classes with their inverses and pair rows chi ~ conj(chi)*eta."""
+    """Merge classes with their inverses and pair rows chi ~ conj(chi)*eta.
+
+    Memoized on the table for its own group, so each self-paired row's
+    twisted indicator is computed once per (table, eta); the result is
+    shared and must not be mutated."""
+    memo = table._fusions if group is table.group else {}
+    fusion = memo.get(eta)
+    if fusion is None:
+        fusion = memo[eta] = _fuse_classes(group, table, eta)
+    return fusion
+
+
+def _fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFusion:
     if table.degrees[eta] != 1:
         raise GroupError("fusion twist must be a linear character")
     seen = set()
@@ -346,6 +361,11 @@ def fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFu
     merged.sort(key=lambda m: m.rep_element)
     row_partner = tuple(
         table.conj_tensor_row(eta, chi) for chi in range(len(table.rows))
+    )
+    # a split row's indicator is 0: the dichotomy twisted_indicator checks
+    nu = tuple(
+        twisted_indicator(table, eta, chi) if row_partner[chi] == chi else 0
+        for chi in range(len(table.rows))
     )
     eta_reps = tuple(
         chi for chi in range(len(table.rows)) if chi <= row_partner[chi]
@@ -374,7 +394,7 @@ def fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFu
         "n_R_xi_rows": n_self_rows,
         "n_C_xi_rows": n_split_rows,
     }
-    return ClassFusion(group.name, eta, tuple(merged), row_partner, eta_reps, stats)
+    return ClassFusion(group.name, eta, tuple(merged), row_partner, nu, eta_reps, stats)
 
 
 # -- bundled data --------------------------------------------------------------
@@ -395,8 +415,10 @@ def bundled_table_path(name: str) -> Path:
     return data_path(f"{name}_table.json")
 
 
+@cache
 def bundled(name: str) -> tuple[FiniteGroup, CharacterTable]:
-    """Load one of the bundled (group, validated table) pairs by name."""
+    """Load one of the bundled (group, validated table) pairs by name, once
+    per process: every caller shares the pair and must not mutate it."""
     if name not in _BUNDLED:
         raise KeyError(f"no bundled group {name!r}; have {_BUNDLED}")
     group = load_group(bundled_group_path(name))

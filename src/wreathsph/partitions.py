@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import attrgetter
 
 
 class Partition:
@@ -109,6 +110,9 @@ class Partition:
     def dim_sym(self) -> int:
         """Number of standard tableaux, |lambda|! / hook product."""
         return factorial(self.size) // self.hook_product()
+
+
+EMPTY = Partition()  # shared by every label that leaves a slot empty
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
@@ -270,24 +274,37 @@ def multipartitions_constrained(families, n: int) -> tuple[MultiPartition, ...]:
     """Multipartitions of weight n where slot i draws from families[i],
     ordered by sort key.
 
-    families[i](w) lists the choices of slot i at weight w: the slot weights
-    add up to n.  A choice is usually a Partition of w, but need not be.
+    families[i](w) lists the Partitions slot i may take at weight w: the
+    slot weights add up to n.
     """
-    num = len(families)
+    return sorted_multipartitions(choice_tuples(families, n))
 
-    def gen(slot: int, rest: int):
-        if slot == num:
-            if rest == 0:
-                yield ()
-            return
-        for w in range(rest + 1):
-            opts = tuple(families[slot](w))
-            if not opts:
-                continue
-            for tail in gen(slot + 1, rest - w):
-                for p in opts:
-                    yield (p,) + tail
 
-    out = [MultiPartition(t) for t in gen(0, n)]
-    out.sort(key=MultiPartition.sort_key)
+def choice_tuples(families, n: int) -> list[tuple]:
+    """Every tuple of choices, slot i from families[i](w_i) with the w_i
+    adding up to n, in no particular order.  Each family is called once
+    per weight."""
+    opts = [[tuple(family(w)) for w in range(n + 1)] for family in families]
+    later = [[()]] + [[] for _ in range(n)]  # later[r]: the later slots' tuples of weight r
+    for slot in range(len(families) - 1, 0, -1):
+        later = [_prepend(opts[slot], later, r) for r in range(n + 1)]
+    return _prepend(opts[0], later, n) if families else later[n]
+
+
+def _prepend(opts, later, r: int) -> list[tuple]:
+    """Each choice of weight w before each later tuple of weight r - w."""
+    return [(p,) + t for w in range(r + 1) for p in opts[w] for t in later[r - w]]
+
+
+_PARTS = attrgetter("parts")
+
+
+def sorted_multipartitions(tuples) -> tuple[MultiPartition, ...]:
+    """One MultiPartition per sequence of Partitions, ordered by sort key."""
+    keyed = sorted((tuple(map(_PARTS, t)), tuple(t)) for t in tuples)
+    out = []
+    for _, parts in keyed:
+        mp = object.__new__(MultiPartition)  # the parts are Partitions already
+        object.__setattr__(mp, "parts", parts)
+        out.append(mp)
     return tuple(out)

@@ -32,7 +32,6 @@ from .groups import (
     FiniteGroup,
     GroupError,
     fuse_classes,
-    twisted_indicator,
 )
 from .partitions import (
     MultiPartition,
@@ -116,7 +115,6 @@ class SphericalContext:
         self.merged_names = tuple(f"R{i+1}" for i in range(len(self.fusion.merged)))
         self._weights: dict[WreathElement, dict[MultiPartition, CycNum]] = {}
         self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
-        self._nu: dict[int, int] = {}
 
     # -- shared precomputations -------------------------------------------------
 
@@ -138,9 +136,7 @@ class SphericalContext:
         return wreath_order(self.group, 2 * self.n)
 
     def nu(self, chi: int) -> int:
-        if chi not in self._nu:
-            self._nu[chi] = twisted_indicator(self.table, self.xi, chi)
-        return self._nu[chi]
+        return self.fusion.nu[chi]
 
     def rep(self, rho: MultiPartition) -> WreathElement:
         return coset_rep(self.group, self.fusion, rho)

@@ -32,6 +32,7 @@ from math import gcd, lcm
 
 from .cyclo import CycNum, ZERO, convolve_into, cyc_vector, vector_cyc
 from .partitions import (
+    EMPTY,
     MultiPartition,
     Partition,
     odd_partitions,
@@ -326,7 +327,6 @@ def schurq_p_expr(lam: Partition) -> PExpr:
 # product is one integer addition.  W = 8, so the fields are the int's bytes.
 _W = 8
 _FIELD_MAX = (1 << _W) - 1
-_EMPTY = Partition()
 
 
 def _pack_partition(lam: Partition, slot: int, size: int) -> int:
@@ -356,7 +356,7 @@ def _unpack_key(key: int, size: int) -> MultiPartition:
         if m:
             r, slot = divmod(index, size)
             parts[slot] += [r + 1] * m
-    return MultiPartition(Partition(p[::-1]) if p else _EMPTY for p in parts)
+    return MultiPartition(Partition(p[::-1]) if p else EMPTY for p in parts)
 
 
 def _lift(vecs: dict[int, list[int]], m: int, n: int) -> dict[int, list[int]]:

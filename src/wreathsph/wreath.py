@@ -20,15 +20,17 @@ from .groups import (
     FiniteGroup,
     GroupError,
     fuse_classes,
-    twisted_indicator,
 )
 from .partitions import (
+    EMPTY,
     MultiPartition,
     Partition,
+    choice_tuples,
     doubling,
     multipartitions,
     multipartitions_constrained,
     partitions_of,
+    sorted_multipartitions,
     strict_partitions,
 )
 from .symfunc import SymFuncElem, schur_p_expr, sym_character
@@ -426,39 +428,51 @@ def coset_label_set(
     """Multipartitions over merged classes indexing nonvanishing double cosets."""
     minus_one = CycNum.rational(-1)
 
-    def family(i: int):
-        m = fusion.merged[i]
+    def family(m):
         xi_neg = m.real and table.value(xi, m.rep_element) == minus_one
         if sign > 0:
-            if xi_neg:
-                return lambda w: (Partition(),) if w == 0 else ()
-            return partitions_of
+            return _empty_family if xi_neg else partitions_of
         if not m.real:
             return partitions_of
-        if xi_neg:
-            return lambda w: tuple(p for p in partitions_of(w) if p.is_even())
-        return lambda w: tuple(p for p in partitions_of(w) if p.is_odd())
+        return _even_parts_family if xi_neg else _odd_parts_family
 
-    families = [family(i) for i in range(len(fusion.merged))]
-    return multipartitions_constrained(families, n)
+    return multipartitions_constrained([family(m) for m in fusion.merged], n)
 
 
+def _empty_family(w: int) -> tuple[Partition, ...]:
+    return (EMPTY,) if w == 0 else ()
+
+
+@cache
+def _even_parts_family(w: int) -> tuple[Partition, ...]:
+    return tuple(p for p in partitions_of(w) if p.is_even())
+
+
+@cache
+def _odd_parts_family(w: int) -> tuple[Partition, ...]:
+    return tuple(p for p in partitions_of(w) if p.is_odd())
+
+
+@cache
 def _even_family(w: int) -> tuple[Partition, ...]:
     if w % 2:
         return ()
     return tuple(Partition(tuple(2 * p for p in lam)) for lam in partitions_of(w // 2))
 
 
+@cache
 def _even_t_family(w: int) -> tuple[Partition, ...]:
     return tuple(p.transpose() for p in _even_family(w))
 
 
+@cache
 def _dsp_family(w: int) -> tuple[Partition, ...]:
     if w % 2:
         return ()
     return tuple(doubling(mu) for mu in strict_partitions(w // 2))
 
 
+@cache
 def _dsp_t_family(w: int) -> tuple[Partition, ...]:
     return tuple(p.transpose() for p in _dsp_family(w))
 
@@ -471,6 +485,7 @@ def _self_row_family(nu: int, pi: str):
     return plus[pi] if nu == 1 else minus[pi]
 
 
+@cache
 def _pair_family(w: int) -> tuple[Partition, ...]:
     """A split pair's choices at weight w: its representative row's shape."""
     return () if w % 2 else partitions_of(w // 2)
@@ -482,25 +497,28 @@ def irrep_label_set(
     """Multipartitions over character rows indexing the components of the
     induced character of the paired subgroup.  There is one slot per
     representative row; a split pair gives its partner the same shape, or
-    its transpose for the signed pi."""
+    its transpose for the signed pi.  The indicators at xi are read from
+    the fusion, which is taken at xi."""
     reps, partner = fusion.eta_reps, fusion.row_partner
     families = [
-        _self_row_family(twisted_indicator(table, xi, chi), pi)
-        if partner[chi] == chi
-        else _pair_family
+        _self_row_family(fusion.nu[chi], pi) if partner[chi] == chi else _pair_family
         for chi in reps
     ]
     signed = epsilon_sign(pi) == -1
-    results = []
-    for choice in multipartitions_constrained(families, 2 * n):
-        parts = [Partition()] * len(table.rows)
+    transposed: dict[tuple[int, ...], Partition] = {}  # each partner shape once
+    labels = []
+    for choice in choice_tuples(families, 2 * n):
+        parts = [EMPTY] * len(table.rows)
         for chi, lam in zip(reps, choice):
             parts[chi] = lam
             if partner[chi] != chi:
-                parts[partner[chi]] = lam.transpose() if signed else lam
-        results.append(MultiPartition(parts))
-    results.sort(key=MultiPartition.sort_key)
-    return tuple(results)
+                if signed:
+                    if lam.parts not in transposed:
+                        transposed[lam.parts] = lam.transpose()
+                    lam = transposed[lam.parts]
+                parts[partner[chi]] = lam
+        labels.append(parts)
+    return sorted_multipartitions(labels)
 
 
 # -- one pass over the doubled-base subgroup ---------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,17 @@ def test_cache_key_names_version_and_format(tmp_path, capsys):
     assert main(args + ["--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out == fresh
     assert len(list(cache.iterdir())) == 2
+
+
+def test_python_dash_m_runs_the_command_line():
+    import wreathsph
+
+    env = dict(os.environ)
+    src = str(Path(wreathsph.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wreathsph", "selftest", "--criteria", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "criterion  1 [PASS]" in proc.stdout

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -9,12 +10,17 @@ from wreathsph.cyclo import CycNum, ONE, ZERO, sum_products
 from wreathsph.groups import (
     GroupError,
     bundled,
+    bundled_group_path,
     bundled_names,
+    bundled_table_path,
     fuse_classes,
     linear_characters,
+    load_group,
+    load_table,
     twisted_indicator,
 )
 from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
+from wreathsph.spherical import SphericalContext
 from wreathsph.wreath import (
     PI_NAMES,
     PairedChar,
@@ -398,6 +404,101 @@ def test_irrep_label_sets_match_reference_recursion():
                     assert irrep_label_set(table, fus, xi, pi, n) == want, (
                         name, xi, pi, n
                     )
+
+
+def reference_coset_label_set(table, fus, xi, sign, n):
+    """The per-call slot families coset_label_set used to build, enumerated
+    slot by slot and sorted once."""
+    minus_one = CycNum.rational(-1)
+
+    def family(i):
+        m = fus.merged[i]
+        xi_neg = m.real and table.value(xi, m.rep_element) == minus_one
+        if sign > 0:
+            if xi_neg:
+                return lambda w: (Partition(),) if w == 0 else ()
+            return partitions_of
+        if not m.real:
+            return partitions_of
+        if xi_neg:
+            return lambda w: tuple(p for p in partitions_of(w) if p.is_even())
+        return lambda w: tuple(p for p in partitions_of(w) if p.is_odd())
+
+    families = [family(i) for i in range(len(fus.merged))]
+
+    def gen(slot, rest):
+        if slot == len(families):
+            if rest == 0:
+                yield ()
+            return
+        for w in range(rest + 1):
+            for p in families[slot](w):
+                for tail in gen(slot + 1, rest - w):
+                    yield (p,) + tail
+
+    return tuple(sorted((MultiPartition(t) for t in gen(0, n)), key=MultiPartition.sort_key))
+
+
+def test_coset_label_sets_match_reference_families():
+    for name in bundled_names():
+        group, table = bundled(name)
+        for xi in linear_characters(table):
+            fus = fuse_classes(group, table, xi)
+            for sign in (1, -1):
+                for n in range(1, 5):
+                    want = reference_coset_label_set(table, fus, xi, sign, n)
+                    assert coset_label_set(table, fus, xi, sign, n) == want, (
+                        name, xi, sign, n
+                    )
+
+
+def test_label_sets_evaluate_each_indicator_once(monkeypatch):
+    # a fresh (table, xi): building both label sets for every pi and n, and
+    # reading nu on their contexts, evaluates each self-paired row's
+    # indicator once and a split row's (0 by the dichotomy) never
+    import wreathsph.groups as groups
+    import wreathsph.spherical as spherical
+    import wreathsph.wreath as wreath
+
+    calls = Counter()
+    indicator = groups.twisted_indicator
+
+    def counting(table, xi, chi):
+        calls[chi] += 1
+        return indicator(table, xi, chi)
+
+    for module in (groups, wreath, spherical):
+        if hasattr(module, "twisted_indicator"):
+            monkeypatch.setattr(module, "twisted_indicator", counting)
+    group = load_group(bundled_group_path("gl2f3"))
+    table = load_table(bundled_table_path("gl2f3"), group)
+    xi = table.row_by_name("chi2")
+    for pi in PI_NAMES:
+        for n in range(1, 5):
+            fus = fuse_classes(group, table, xi)
+            irrep_label_set(table, fus, xi, pi, n)
+            coset_label_set(table, fus, xi, epsilon_sign(pi), n)
+            ctx = SphericalContext(group, table, xi, pi, n)
+            assert [ctx.nu(chi) for chi in range(8)] == [0, 0, -1, 0, 0, -1, -1, -1]
+    assert calls == Counter(chi for chi in range(8) if fus.row_partner[chi] == chi)
+
+
+def test_bundled_pairs_load_once(monkeypatch):
+    import wreathsph.groups as groups
+
+    loads = []
+    load_table_ = groups.load_table
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return load_table_(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "load_table", counting)
+    first = bundled("c4")
+    before = len(loads)
+    second = bundled("c4")
+    assert second[0] is first[0] and second[1] is first[1]
+    assert len(loads) == before
 
 
 def test_decompose_degree_one_families():
