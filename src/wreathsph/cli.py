@@ -20,10 +20,10 @@ from .groups import (
     Caps,
     CapExceeded,
     GroupError,
-    fuse_classes,
     linear_characters,
     load_group,
     load_table,
+    twisted_indicator,
     validate_table,
 )
 from .spherical import (
@@ -93,8 +93,10 @@ def cmd_validate(args) -> int:
 def cmd_nu2(args) -> int:
     group, table = _load_pair(args)
     lin = linear_characters(table)
-    columns = [fuse_classes(group, table, xi).nu for xi in lin]
-    matrix = [[nu[chi] for nu in columns] for chi in range(len(table.rows))]
+    matrix = [
+        [twisted_indicator(table, xi, chi) for xi in lin]
+        for chi in range(len(table.rows))
+    ]
     if args.format == "json":
         obj = {
             "group": group.name,

@@ -324,7 +324,9 @@ class ClassFusion:
     eta: int
     merged: tuple[MergedClass, ...]
     row_partner: tuple[int, ...]  # row index of conj(chi) * eta per row
-    nu: tuple[int, ...]  # twisted indicator of each row at eta
+    # twisted indicator of each row at eta: summed for self-paired rows,
+    # 0 for split rows by the dichotomy, not summed
+    nu: tuple[int, ...]
     eta_reps: tuple[int, ...]  # chosen representative rows, one per pair
     stats: dict
 
@@ -332,13 +334,14 @@ class ClassFusion:
 def fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFusion:
     """Merge classes with their inverses and pair rows chi ~ conj(chi)*eta.
 
-    Memoized on the table for its own group, so each self-paired row's
-    twisted indicator is computed once per (table, eta); the result is
-    shared and must not be mutated."""
-    memo = table._fusions if group is table.group else {}
-    fusion = memo.get(eta)
+    Memoized on the table per eta, so each self-paired row's twisted
+    indicator is computed once per (table, eta); the result is shared and
+    must not be mutated.  group must be the table's own group."""
+    if group is not table.group:
+        raise GroupError(f"fusion needs the table's own group, not another {group.name}")
+    fusion = table._fusions.get(eta)
     if fusion is None:
-        fusion = memo[eta] = _fuse_classes(group, table, eta)
+        fusion = table._fusions[eta] = _fuse_classes(group, table, eta)
     return fusion
 
 

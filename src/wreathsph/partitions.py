@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from operator import attrgetter
 
 
 class Partition:
@@ -296,15 +295,6 @@ def _prepend(opts, later, r: int) -> list[tuple]:
     return [(p,) + t for w in range(r + 1) for p in opts[w] for t in later[r - w]]
 
 
-_PARTS = attrgetter("parts")
-
-
 def sorted_multipartitions(tuples) -> tuple[MultiPartition, ...]:
     """One MultiPartition per sequence of Partitions, ordered by sort key."""
-    keyed = sorted((tuple(map(_PARTS, t)), tuple(t)) for t in tuples)
-    out = []
-    for _, parts in keyed:
-        mp = object.__new__(MultiPartition)  # the parts are Partitions already
-        object.__setattr__(mp, "parts", parts)
-        out.append(mp)
-    return tuple(out)
+    return tuple(sorted((MultiPartition(t) for t in tuples), key=MultiPartition.sort_key))

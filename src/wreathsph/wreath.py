@@ -485,7 +485,6 @@ def _self_row_family(nu: int, pi: str):
     return plus[pi] if nu == 1 else minus[pi]
 
 
-@cache
 def _pair_family(w: int) -> tuple[Partition, ...]:
     """A split pair's choices at weight w: its representative row's shape."""
     return () if w % 2 else partitions_of(w // 2)

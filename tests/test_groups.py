@@ -98,6 +98,12 @@ def test_fusion_examples():
         assert f.stats["n_C"] == g.order - 1
 
 
+def test_fusion_is_memoized_on_the_table_and_needs_its_group():
+    g, t = bundled("c6")
+    assert fuse_classes(g, t, 1) is fuse_classes(g, t, 1)
+    with pytest.raises(GroupError):
+        fuse_classes(load_group(bundled_group_path("c6")), t, 1)
+
 def test_gl2f3_fusion_stats():
     g, t = bundled("gl2f3")
     f = fuse_classes(g, t, t.row_by_name("chi2"))
