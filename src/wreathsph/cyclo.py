@@ -13,9 +13,9 @@ canonicalize only converts an exponent -> rational map into such a vector.
 Sums and products of two rationals, and a rational times any value, skip
 the vectors.
 
-Values are immutable after construction (two lazily filled caches
-aside, the hash and cyc_vector's last form, whose races only repeat
-work); everything here is safe to share between threads.
+Values are immutable after construction (three lazily filled caches
+aside, the hash, the text form and cyc_vector's last form, whose races
+only repeat work); everything here is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _solve_subfield(n: int, m: int, vec: list[int | Fraction]) -> list[Fraction]
 class CycNum:
     """An element of some Q(zeta_N), in canonical minimal-conductor form."""
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_vector")
+    __slots__ = ("conductor", "coeffs", "_hash", "_text", "_vector")
 
     def __init__(self, conductor: int, coeffs: dict[int, Fraction], _raw: bool = False):
         if _raw:
@@ -153,6 +153,7 @@ class CycNum:
             self.conductor = c.conductor
             self.coeffs = c.coeffs
         self._hash = None
+        self._text = None
         self._vector = None  # cyc_vector's last form
 
     # -- construction -------------------------------------------------
@@ -294,6 +295,11 @@ class CycNum:
     # -- text form -------------------------------------------------------
 
     def __str__(self) -> str:
+        if self._text is None:
+            self._text = self._format()
+        return self._text
+
+    def _format(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []

@@ -177,6 +177,8 @@ class CharacterTable:
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
         self._fusions = {}  # fuse_classes results by twist
+        self._tensor_rows = {}  # conj_tensor_row results by (xi, chi)
+        self._linear = None  # linear_characters, once checked
 
     def value(self, row: int, element: int) -> CycNum:
         return self.rows[row][self.group.class_of[element]]
@@ -188,7 +190,13 @@ class CharacterTable:
             raise KeyError(f"no character named {name!r}; have {self.names}") from None
 
     def conj_tensor_row(self, xi: int, chi: int) -> int:
-        """The row equal to conj(chi) tensor xi."""
+        """The row equal to conj(chi) tensor xi, found once per (xi, chi)."""
+        row = self._tensor_rows.get((xi, chi))
+        if row is None:
+            row = self._tensor_rows[xi, chi] = self._find_tensor_row(xi, chi)
+        return row
+
+    def _find_tensor_row(self, xi: int, chi: int) -> int:
         want = tuple(
             self.rows[chi][c].conjugate() * self.rows[xi][c]
             for c in range(len(self.group.classes))
@@ -266,7 +274,14 @@ def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTa
 
 
 def linear_characters(table: CharacterTable) -> list[int]:
-    """Row indices of degree-1 characters, checked to be multiplicative."""
+    """Row indices of degree-1 characters, checked to be multiplicative on
+    the first call and memoized on the table."""
+    if table._linear is None:
+        table._linear = tuple(_linear_characters(table))
+    return list(table._linear)
+
+
+def _linear_characters(table: CharacterTable) -> list[int]:
     group = table.group
     out = []
     for i, d in enumerate(table.degrees):

@@ -115,6 +115,9 @@ class SphericalContext:
         self.merged_names = tuple(f"R{i+1}" for i in range(len(self.fusion.merged)))
         self._weights: dict[WreathElement, dict[MultiPartition, CycNum]] = {}
         self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
+        # _push_single's weights, by (row, merged class, r mod 2)
+        self._pushed: dict[tuple[int, str, int], CycNum] = {}
+        self._cells: dict[tuple, CycNum] = {}  # SymFuncElem.coefficients' memo
 
     # -- shared precomputations -------------------------------------------------
 
@@ -383,10 +386,16 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
     self_paired = fusion.row_partner[chi] == chi
 
     def coeff(_a, b, r):
-        m = fusion.merged[ctx.merged_names.index(b)]
-        k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
-        zc = ctx.group.centralizer_orders[m.classes[0]]
-        return _numerator(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
+        # r enters only through sign^(r-1): one weight per parity, per context
+        key = (chi, b, r % 2)
+        w = ctx._pushed.get(key)
+        if w is None:
+            m = fusion.merged[ctx.merged_names.index(b)]
+            k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
+            zc = ctx.group.centralizer_orders[m.classes[0]]
+            w = _numerator(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
+            ctx._pushed[key] = w
+        return w
 
     return SymFuncElem.from_p_expr(("x",), 0, f).change_alphabet(coeff, ctx.merged_names)
 
@@ -439,9 +448,9 @@ def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
 
 def spherical_from_symfunc(ctx: SphericalContext, lam: MultiPartition) -> list[CycNum]:
     """Spherical values recovered from the symmetric-function image, one per
-    column of ctx.cols, in that order."""
-    rhs = ch_image_product(ctx, lam)
-    return [rhs.coefficient(key, scale) for key, scale in ctx.col_keys]
+    column of ctx.cols, in that order; each distinct read-out is reduced
+    once per context."""
+    return ch_image_product(ctx, lam).coefficients(ctx.col_keys, ctx._cells)
 
 
 # -- table + reconciliation -----------------------------------------------------------------

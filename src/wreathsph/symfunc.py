@@ -557,6 +557,25 @@ class SymFuncElem:
             vec = [x * num for x in vec]
         return vector_cyc(vec, self._den * scale.denominator)
 
+    def coefficients(self, cols: list[tuple[int, Fraction]], seen: dict) -> list[CycNum]:
+        """The coefficients of (packed key, rational scale) columns, in order.
+        Each read-out is memoized in seen by (vector, denominator, scale):
+        those fix the reduced value, so equal keys share one CycNum, and
+        a seen kept across rows reduces each distinct read-out once."""
+        vecs, den = self._vecs, self._den
+        out = []
+        for key, scale in cols:
+            vec = vecs.get(key)
+            if vec is None:
+                out.append(ZERO)
+                continue
+            memo = (tuple(vec), den, scale.numerator, scale.denominator)
+            c = seen.get(memo)
+            if c is None:
+                c = seen[memo] = self.coefficient(key, scale)
+            out.append(c)
+        return out
+
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
         body = " + ".join(f"({v})*p[{k.to_json(self.alphabet)}]" for k, v in items)

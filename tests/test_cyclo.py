@@ -136,6 +136,40 @@ def test_text_form_roundtrip(a):
     assert parse_cyc(str(a)) == a
 
 
+def reference_text(x: CycNum) -> str:
+    """The text form, formatted afresh on every call."""
+    if not x.coeffs:
+        return "0"
+    parts = []
+    for k in sorted(x.coeffs):
+        v = x.coeffs[k]
+        mag = abs(v)
+        if k == 0:
+            body = str(mag)
+        else:
+            zk = f"z({x.conductor})" if k == 1 else f"z({x.conductor})^{k}"
+            body = zk if mag == 1 else f"{mag}*{zk}"
+        if not parts:
+            parts.append(body if v > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if v > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+@given(cycnums(), cycnums())
+@settings(max_examples=80, deadline=timedelta(seconds=5))
+def test_cached_text_matches_reference(a, b):
+    for x in (a, b):
+        want = reference_text(x)
+        assert str(x) == want
+        assert str(x) == want
+        assert parse_cyc(str(x)) == x
+    # values built from values whose text is cached get their own text
+    for y in (a + b, a * b, a.conjugate(), a - b, -a):
+        assert str(y) == reference_text(y)
+        assert parse_cyc(str(y)) == y
+
+
 @given(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12)), st.integers(0, 11), small_rationals)
 @settings(max_examples=60, deadline=None)
 def test_unit_inverses(n, k, c):

@@ -104,6 +104,59 @@ def test_fusion_is_memoized_on_the_table_and_needs_its_group():
     with pytest.raises(GroupError):
         fuse_classes(load_group(bundled_group_path("c6")), t, 1)
 
+def test_linear_characters_checked_once_per_table(monkeypatch):
+    group = load_group(bundled_group_path("q8"))
+    obj = json.loads(bundled_table_path("q8").read_text())
+    table = load_table(obj, group)
+    products = [0]
+    mul = CycNum.__mul__
+
+    def counting(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    first = linear_characters(table)
+    assert first == [0, 1, 2, 3] and products[0] > 0
+    # the second call re-checks nothing
+    checked = products[0]
+    assert linear_characters(table) == first
+    assert products[0] == checked
+    # a degree-1 row that is not multiplicative still raises, on every call
+    obj["chars"][1][1] = "-1"
+    corrupted = load_table(obj, group, validate=False)
+    for _ in range(2):
+        with pytest.raises(GroupError, match="not multiplicative"):
+            linear_characters(corrupted)
+
+
+def test_tensor_rows_found_once_per_pair(monkeypatch):
+    group = load_group(bundled_group_path("gl2f3"))
+    table = load_table(bundled_table_path("gl2f3"), group)
+    xi = table.row_by_name("chi2")
+    conjugations = [0]
+    conjugate = CycNum.conjugate
+
+    def counting(x):
+        conjugations[0] += 1
+        return conjugate(x)
+
+    monkeypatch.setattr(CycNum, "conjugate", counting)
+    fusion = fuse_classes(group, table, xi)
+    self_rows = [chi for chi, p in enumerate(fusion.row_partner) if p == chi]
+    # one conj(chi) per class for each row's partner, then one conj(xi(x))
+    # per element for each self-paired row's indicator sum; the indicator's
+    # dichotomy check finds no partner again
+    expect = len(table.rows) * len(group.classes) + len(self_rows) * group.order
+    assert conjugations[0] == expect
+    assert [table.conj_tensor_row(xi, chi) for chi in range(8)] == list(fusion.row_partner)
+    assert conjugations[0] == expect
+    # the dichotomy check still reads the pairing
+    table._tensor_rows[xi, self_rows[0]] = fusion.row_partner[0]
+    with pytest.raises(GroupError, match="dichotomy"):
+        twisted_indicator(table, xi, self_rows[0])
+
+
 def test_gl2f3_fusion_stats():
     g, t = bundled("gl2f3")
     f = fuse_classes(g, t, t.row_by_name("chi2"))

@@ -351,6 +351,48 @@ def test_symfunc_work_once_per_context(monkeypatch, config):
     assert counts == expect
 
 
+@pytest.mark.parametrize("config", [("q8", 1, "triv", 2), ("c4", 2, "delta", 2)])
+def test_symfunc_read_out_once_per_context(monkeypatch, config):
+    # one reduction per distinct read-out key (row vector, its denominator,
+    # the column's scale), one shared CycNum per key, and one pushed weight
+    # per (row, merged class, parity of r); nothing for a second table
+    import wreathsph.spherical as spherical
+    import wreathsph.symfunc as symfunc
+
+    reductions, numerators = [0], []
+    vector_cyc, numerator = symfunc.vector_cyc, spherical._numerator
+
+    def reducing(vec, den):
+        reductions[0] += 1
+        return vector_cyc(vec, den)
+
+    def weighing(ctx, chi, g, r):
+        # g is the merged class's representative element
+        numerators.append((id(ctx), chi, g, r % 2))
+        return numerator(ctx, chi, g, r)
+
+    monkeypatch.setattr(symfunc, "vector_cyc", reducing)
+    monkeypatch.setattr(spherical, "_numerator", weighing)
+    ctx = ctx_of(*config)
+    tab = build_table(ctx, "symfunc")
+    cells: dict[tuple, list[CycNum]] = {}
+    for i, lam in enumerate(ctx.rows):
+        image = ch_image_product(ctx, lam)
+        for j, (key, scale) in enumerate(ctx.col_keys):
+            vec = image._vecs.get(key)
+            if vec is not None:
+                read_out = (tuple(vec), image._den, scale.numerator, scale.denominator)
+                cells.setdefault(read_out, []).append(tab.value(i, j))
+    # the rows share read-outs, so a reduction per cell would be seen
+    assert len(cells) < sum(map(len, cells.values()))
+    assert 0 < reductions[0] <= len(cells)
+    assert all(len({id(v) for v in same}) == 1 for same in cells.values())
+    assert numerators and len(numerators) == len(set(numerators))
+    seen = (reductions[0], len(numerators))
+    assert build_table(ctx, "symfunc").values == tab.values
+    assert (reductions[0], len(numerators)) == seen
+
+
 def test_spherical_orthogonality():
     for name, xi, pi, n in (("c2", 1, "triv", 2), ("q8", 1, "triv", 1)):
         ctx = ctx_of(name, xi, pi, n)
