@@ -176,6 +176,8 @@ class CharacterTable:
         self.degrees = tuple(row[self.group.class_of[0]].as_int() for row in self.rows)
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
+        self._class_types = {}  # (class type, Z_tau) by packed key, for wreath rows
+        self._row_reads = {}  # wreath rows' read-outs (SymFuncElem.coefficients' memo)
         self._fusions = {}  # fuse_classes results by twist
         self._tensor_rows = {}  # conj_tensor_row results by (xi, chi)
         self._linear = None  # linear_characters, once checked

@@ -350,7 +350,8 @@ def _fields(key: int) -> bytes:
     return key.to_bytes((key.bit_length() + 7) // 8, "little")
 
 
-def _unpack_key(key: int, size: int) -> MultiPartition:
+def unpack_key(key: int, size: int) -> MultiPartition:
+    """The multipartition over size labels of a packed monomial."""
     parts: list[list[int]] = [[] for _ in range(size)]
     for index, m in enumerate(_fields(key)):
         if m:
@@ -529,7 +530,7 @@ class SymFuncElem:
         """Multipartition key -> nonzero coefficient, decoded once."""
         if self._terms is None:
             size = len(self.alphabet)
-            self._terms = {_unpack_key(k, size): v for k, v in self._cycs().items()}
+            self._terms = {unpack_key(k, size): v for k, v in self._cycs().items()}
         return self._terms
 
     def __eq__(self, other) -> bool:
@@ -557,7 +558,14 @@ class SymFuncElem:
             vec = [x * num for x in vec]
         return vector_cyc(vec, self._den * scale.denominator)
 
-    def coefficients(self, cols: list[tuple[int, Fraction]], seen: dict) -> list[CycNum]:
+    def packed_keys(self) -> list[int]:
+        """The packed keys of the stored terms, in storage order; a key's
+        coefficient may still be zero mod Phi_N."""
+        return list(self._vecs)
+
+    def coefficients(
+        self, cols: list[tuple[int, Fraction | int]], seen: dict
+    ) -> list[CycNum]:
         """The coefficients of (packed key, rational scale) columns, in order.
         Each read-out is memoized in seen by (vector, denominator, scale):
         those fix the reduced value, so equal keys share one CycNum, and

@@ -33,7 +33,7 @@ from .partitions import (
     sorted_multipartitions,
     strict_partitions,
 )
-from .symfunc import SymFuncElem, schur_p_expr, sym_character
+from .symfunc import SymFuncElem, schur_p_expr, sym_character, unpack_key
 
 Perm = tuple[int, ...]
 
@@ -221,15 +221,22 @@ def wreath_character_row(
     table: CharacterTable, lam: MultiPartition
 ) -> dict[MultiPartition, CycNum]:
     """Every nonzero value of the irreducible S(lam), keyed by class type, by
-    the characteristic map: chi^lam(tau) = Z_tau [P_tau] prod_chi s_lam(chi)."""
+    the characteristic map: chi^lam(tau) = Z_tau [P_tau] prod_chi s_lam(chi).
+    Each class type is decoded, with its Z_tau, and each distinct read-out
+    of (vector, denominator, Z_tau) reduced, once per table."""
     group = table.group
     image = SymFuncElem.one(range(len(group.classes)))
     for chi, part in enumerate(lam):
         if part.size:
             image = image * _pushed_schur(table, chi, part)
-    return {
-        tau: v * type_centralizer_order(group, tau) for tau, v in image.terms.items()
-    }
+    types = table._class_types
+    keys = image.packed_keys()
+    for k in keys:
+        if k not in types:
+            tau = unpack_key(k, len(group.classes))
+            types[k] = (tau, type_centralizer_order(group, tau))
+    values = image.coefficients([(k, types[k][1]) for k in keys], table._row_reads)
+    return {types[k][0]: v for k, v in zip(keys, values) if v}
 
 
 def wreath_character(

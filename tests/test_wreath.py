@@ -48,6 +48,7 @@ from wreathsph.wreath import (
     perm_of_partition,
     pi_value,
     theta_type_weights,
+    type_centralizer_order,
     type_class_size,
     w_embed,
     w_identity,
@@ -554,6 +555,60 @@ def test_decompose_inverse_map_matches_forward_rows(name):
                 if tot:
                     direct[lam] = tot.as_int()
             assert decompose_induced(table, theta) == direct, (xi, pi)
+
+
+@pytest.mark.parametrize("name, n", [("c4", 4), ("q8", 3)])
+def test_wreath_rows_read_out_once_per_table(monkeypatch, name, n):
+    # every class type is decoded once and every distinct read-out (image
+    # vector, its denominator, Z_tau) reduced once per table, rows sharing
+    # one object per read-out; the values are Z_tau times the image's terms
+    import json
+
+    import wreathsph.symfunc as symfunc
+    import wreathsph.wreath as wreath
+
+    group = load_group(bundled_group_path(name))
+    table = load_table(json.loads(bundled_table_path(name).read_text()), group)
+    lams = multipartitions(len(table.rows), n)
+    reductions, decoded = [0], []
+    vector_cyc, unpack_key = symfunc.vector_cyc, wreath.unpack_key
+
+    def reducing(vec, den):
+        reductions[0] += 1
+        return vector_cyc(vec, den)
+
+    def decoding(key, size):
+        decoded.append(key)
+        return unpack_key(key, size)
+
+    monkeypatch.setattr(symfunc, "vector_cyc", reducing)
+    monkeypatch.setattr(wreath, "unpack_key", decoding)
+    rows = [wreath_character_row(table, lam) for lam in lams]
+    counts = (reductions[0], len(decoded))
+    assert [wreath_character_row(table, lam) for lam in lams] == rows
+    assert (reductions[0], len(decoded)) == counts
+    monkeypatch.undo()
+
+    keys, read_outs = set(), {}  # every read-out; the nonzero ones' values
+    for lam, row in zip(lams, rows):
+        image = symfunc.SymFuncElem.one(range(len(group.classes)))
+        for chi, part in enumerate(lam):
+            if part.size:
+                image = image * wreath._pushed_schur(table, chi, part)
+        assert row == {
+            tau: v * type_centralizer_order(group, tau) for tau, v in image.terms.items()
+        }
+        for key, vec in image._vecs.items():
+            tau = symfunc.unpack_key(key, len(group.classes))
+            read_out = (tuple(vec), image._den, type_centralizer_order(group, tau))
+            keys.add(read_out)
+            if tau in row:
+                read_outs.setdefault(read_out, []).append(row[tau])
+    assert len(decoded) == len(set(decoded))
+    # the rows share read-outs, so a reduction per entry would be seen
+    assert len(read_outs) < sum(map(len, read_outs.values()))
+    assert 0 < reductions[0] <= len(keys)
+    assert all(len({id(v) for v in same}) == 1 for same in read_outs.values())
 
 
 def per_element_k_type_weights(types, weights):
