@@ -143,17 +143,25 @@ def group_from_perm_gens(name: str, gens, cap: int = 10000) -> FiniteGroup:
     return g
 
 
-def load_group(source) -> FiniteGroup:
-    """Load a group from a JSON file path or an already-parsed dict."""
+def _json_object(source, kind: str) -> dict:
+    """The JSON object of a file path, or an already-parsed one."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            obj = json.load(fh)
-    else:
-        obj = source
+            source = json.load(fh)
+    if not isinstance(source, dict):
+        raise GroupError(f"{kind} file: expected a JSON object, got {type(source).__name__}")
+    return source
+
+
+def load_group(source) -> FiniteGroup:
+    """Load a group from a JSON file path or an already-parsed dict."""
+    obj = _json_object(source, "group")
     name = obj.get("name", "group")
     if "mul" in obj:
         group = FiniteGroup(name, obj["mul"])
     elif "perm_gens" in obj:
+        if not obj["perm_gens"]:
+            raise GroupError(f"{name}: 'perm_gens' lists no generators")
         group = group_from_perm_gens(name, obj["perm_gens"], cap=obj.get("cap", 10000))
     else:
         raise GroupError(f"{name}: group file needs a 'mul' table or 'perm_gens'")
@@ -255,11 +263,10 @@ def validate_table(group: FiniteGroup, table: CharacterTable) -> list[str]:
 
 def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTable:
     """Load a character table JSON file; validates against the group by default."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            obj = json.load(fh)
-    else:
-        obj = source
+    obj = _json_object(source, "table")
+    missing = [k for k in ("classes", "chars") if k not in obj]
+    if missing:
+        raise GroupError(f"{group.name}: table file has no {' or '.join(map(repr, missing))}")
     reps = tuple(obj["classes"])
     if reps != group.class_reps:
         raise GroupError(

@@ -8,7 +8,7 @@ Engines:
   closed  -- product formulas available when an irreducible label is
              concentrated on a single character block;
   symfunc -- coefficient extraction from products of classical symmetric
-             functions (Jack at 2 and 1/2, Schur Q, Schur) pushed through
+             functions (Jack at 2, Schur Q, Schur) pushed through
              the change of variables onto merged-class power sums.
 """
 
@@ -44,7 +44,6 @@ from .symfunc import (
     SymFuncElem,
     jack_p_expr,
     pack_key,
-    psi_twist,
     schur_p_expr,
     schurq_p_expr,
     sym_character,
@@ -115,6 +114,8 @@ class SphericalContext:
         self.merged_names = tuple(f"R{i+1}" for i in range(len(self.fusion.merged)))
         self._weights: dict[WreathElement, dict[MultiPartition, CycNum]] = {}
         self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
+        # _numerator's values, by (row, class element, r mod 2)
+        self._numerators: dict[tuple[int, int, int], CycNum] = {}
         # _push_single's weights, by (row, merged class, r mod 2)
         self._pushed: dict[tuple[int, str, int], CycNum] = {}
         self._cells: dict[tuple, CycNum] = {}  # SymFuncElem.coefficients' memo
@@ -307,7 +308,7 @@ def spherical_closed(
     val = CycNum.rational(Fraction(chi_val, 2**n * dim))
     for i, m in enumerate(fusion.merged):
         for part, mult in rho[i].multiplicities().items():
-            val = val * _numerator(ctx, rep, m.rep_element, part) ** mult
+            val = val * _numerator_once(ctx, rep, m.rep_element, part) ** mult
     return val
 
 
@@ -373,6 +374,16 @@ def _numerator(ctx: SphericalContext, chi: int, g: int, r: int) -> CycNum:
     return xi_g.conjugate() * chi_g + chi_g.conjugate() * (ctx.sign ** (r - 1))
 
 
+def _numerator_once(ctx: SphericalContext, chi: int, g: int, r: int) -> CycNum:
+    """_numerator through the context's memo; r enters only through
+    sign^(r-1), so the key is (chi, g, r mod 2)."""
+    key = (chi, g, r % 2)
+    w = ctx._numerators.get(key)
+    if w is None:
+        w = ctx._numerators[key] = _numerator(ctx, chi, g, r)
+    return w
+
+
 def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
     """Push a single-alphabet p-expression through the change of variables
     p_r(chi) -> sum over merged classes R of _numerator / (k zeta_R) p_r(R).
@@ -393,7 +404,7 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
             m = fusion.merged[ctx.merged_names.index(b)]
             k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
             zc = ctx.group.centralizer_orders[m.classes[0]]
-            w = _numerator(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
+            w = _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
             ctx._pushed[key] = w
         return w
 
@@ -408,20 +419,18 @@ def _block_factor(
     gsize, d = ctx.group.order, ctx.table.degrees[rep]
     if partner == rep:
         m = shape.size // 2
+        nu = ctx.nu(rep)
+        own = shape if nu == 1 else shape.transpose()
         if ctx.pi == "triv":
-            if ctx.nu(rep) == 1:
-                mu = _halve(shape)
-                f = jack_p_expr(mu, 2)
-                scalar = Fraction(gsize, d) ** m
-            else:
-                mu = _halve(shape.transpose())
-                f = psi_twist(jack_p_expr(mu.transpose(), Fraction(1, 2)), Fraction(1, 2))
-                scalar = Fraction(2 * gsize, d) ** m
-        else:  # iota
-            mu = _undouble(shape if ctx.nu(rep) == 1 else shape.transpose())
-            f = schurq_p_expr(mu)
-            hbar = Fraction(factorial(m), shifted_tableau_count(mu))
-            scalar = Fraction(gsize, d) ** m * hbar
+            # nu = -1 by Jack duality (Macdonald VI (10.24)): (-|G|/d)^m times
+            # the sign twist of Jack_mu at 2, mu half the transposed shape
+            pushed = _push_single(ctx, rep, jack_p_expr(_halve(own), 2))
+            pushed = pushed.scale(Fraction(nu * gsize, d) ** m)
+            return pushed if nu == 1 else pushed.sign_twist()
+        mu = _undouble(own)  # iota
+        f = schurq_p_expr(mu)
+        hbar = Fraction(factorial(m), shifted_tableau_count(mu))
+        scalar = Fraction(gsize, d) ** m * hbar
     else:
         m = shape.size
         f = schur_p_expr(shape)

@@ -74,12 +74,6 @@ def p_mul(a: PExpr, b: PExpr) -> PExpr:
     return out
 
 
-def psi_twist(f: PExpr, c) -> PExpr:
-    """The ring map p_r -> c * p_r, i.e. p_rho -> c^len(rho) p_rho."""
-    c = Fraction(c)
-    return {k: v * c ** len(k) for k, v in f.items()}
-
-
 def p_inner_alpha(a: PExpr, b: PExpr, alpha) -> Fraction:
     """<p_l, p_m> = delta * z_l * alpha^len(l)."""
     alpha = Fraction(alpha)
@@ -168,35 +162,18 @@ def _p_to_m(rho: Partition) -> tuple[tuple[Partition, Fraction], ...]:
 
 @cache
 def _m_to_p_table(n: int) -> dict[Partition, PExpr]:
-    """Each m_mu of weight n as a p-expansion, by inverting the p->m matrix."""
-    basis = list(partitions_of(n))
-    index = {p: i for i, p in enumerate(basis)}
-    size = len(basis)
-    # rows: p_rho in m-basis
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for i, rho in enumerate(basis):
-        for mu, c in _p_to_m(rho):
-            mat[i][index[mu]] = c
-    # invert
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(mat)]
-    for c in range(size):
-        piv = next(i for i in range(c, size) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(size):
-            if i != c and aug[i][c]:
-                fct = aug[i][c]
-                aug[i] = [x - fct * y for x, y in zip(aug[i], aug[c])]
-    # mat[i][j] = coeff of m_j in p_i   =>   m_j = sum_i (mat^-1)[j][i] p_i
-    invmat = [row[size:] for row in aug]
+    """Each m_mu of weight n as a p-expansion.  p_rho is a nonzero multiple
+    of m_rho plus m_mu of partitions mu coarser than rho, and those come
+    first in partitions_of(n), so one pass in that order solves for all."""
     out: dict[Partition, PExpr] = {}
-    for j, mu in enumerate(basis):
-        expr: PExpr = {}
-        for i, rho in enumerate(basis):
-            if invmat[j][i]:
-                expr[rho] = invmat[j][i]
-        out[mu] = expr
+    for rho in partitions_of(n):
+        expr: PExpr = {rho: Fraction(1)}
+        for mu, c in _p_to_m(rho):
+            if mu == rho:
+                lead = c
+            else:
+                expr = p_add(expr, p_scale(out[mu], -c))
+        out[rho] = p_scale(expr, 1 / lead)
     return out
 
 
@@ -204,60 +181,39 @@ def monomial_p(mu: Partition) -> PExpr:
     return dict(_m_to_p_table(mu.size)[mu])
 
 
-def p_to_m(f: PExpr) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-    for rho, c in f.items():
-        for mu, d in _p_to_m(rho):
-            w = out.get(mu, Fraction(0)) + c * d
-            if w:
-                out[mu] = w
-            else:
-                out.pop(mu, None)
-    return out
-
-
 # -- Jack symmetric functions -------------------------------------------------
 
 
-def _dominance_key(lam: Partition, n: int) -> tuple[int, ...]:
-    sums = []
-    acc = 0
-    for i in range(n):
-        acc += lam.parts[i] if i < len(lam.parts) else 0
-        sums.append(acc)
-    return tuple(sums)
+@cache
+def _jack_basis(n: int, alpha: Fraction) -> dict[Partition, PExpr]:
+    """Every Jack element of weight n at parameter alpha, unnormalized: one
+    Gram-Schmidt pass over the monomials in increasing lexicographic order,
+    a linear extension of dominance, keeping each lambda's vector."""
+    built: dict[Partition, tuple[PExpr, Fraction]] = {}
+    for lam in reversed(partitions_of(n)):
+        f = monomial_p(lam)
+        for g, gnorm in built.values():
+            c = p_inner_alpha(f, g, alpha)
+            if c:
+                f = p_add(f, p_scale(g, -c / gnorm))
+        built[lam] = (f, p_inner_alpha(f, f, alpha))
+    return {lam: f for lam, (f, _) in built.items()}
 
 
 @cache
 def jack_p(lam: Partition, alpha: Fraction) -> tuple[tuple[Partition, Fraction], ...]:
     """Jack polynomial at parameter alpha, normalized so the coefficient of
-    the squarefree monomial m_(1^n) equals n!, as a p-expansion."""
-    alpha = Fraction(alpha)
+    the squarefree monomial m_(1^n) equals n!, as a p-expansion.  Only
+    p_(1^n) contains m_(1^n), with coefficient n!, so that is a coefficient
+    of 1 at p_(1^n)."""
     n = lam.size
     if n == 0:
         return ((Partition(), Fraction(1)),)
-    order = sorted(partitions_of(n), key=lambda p: _dominance_key(p, n))
-    built: list[tuple[Partition, PExpr, Fraction]] = []
-    target: PExpr | None = None
-    for mu in order:
-        f = monomial_p(mu)
-        for _, g, gnorm in built:
-            c = p_inner_alpha(f, g, alpha)
-            if c:
-                f = p_add(f, p_scale(g, -c / gnorm))
-        built.append((mu, f, p_inner_alpha(f, f, alpha)))
-        if mu == lam:
-            target = f
-            break
-    assert target is not None
-    ones = Partition([1] * n)
-    lead = p_to_m(target).get(ones)
+    f = _jack_basis(n, Fraction(alpha))[lam]
+    lead = f.get(Partition([1] * n))
     if not lead:
         raise ArithmeticError("vanishing squarefree coefficient in Jack element")
-    import math
-
-    target = p_scale(target, Fraction(math.factorial(n)) / lead)
-    return tuple(sorted(target.items(), key=lambda kv: kv[0].parts))
+    return tuple(sorted(p_scale(f, 1 / lead).items(), key=lambda kv: kv[0].parts))
 
 
 def jack_p_expr(lam: Partition, alpha) -> PExpr:

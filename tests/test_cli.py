@@ -192,6 +192,25 @@ def test_selftest_rejects_unknown_criteria(capsys):
             run_criteria(numbers)
 
 
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("group", {"name": "empty", "perm_gens": []}),
+        ("group", [[0, 1], [1, 0]]),
+        ("table", {"names": ["chi1", "chi2"]}),
+    ],
+)
+def test_malformed_input_is_data_error(tmp_path, capsys, kind, payload):
+    g, t = paths("c2")
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(payload))
+    files = {"group": g, "table": t, kind: str(bad)}
+    for cmd in ("validate", "nu2"):
+        assert main([cmd, "--group", files["group"], "--table", files["table"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_missing_file_is_data_error(capsys):
     assert main(["validate", "--group", "/nonexistent.json",
                  "--table", "/nonexistent2.json"]) == 1

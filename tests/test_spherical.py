@@ -393,6 +393,49 @@ def test_symfunc_read_out_once_per_context(monkeypatch, config):
     assert (reductions[0], len(numerators)) == seen
 
 
+@pytest.mark.parametrize(
+    "config", [("c2", 1, "triv", 3), ("c2", 1, "delta", 2), ("c4", 1, "delta", 1)]
+)
+def test_numerators_once_per_context(monkeypatch, config):
+    # a closed table, then a reconcile on the same context, compute each
+    # numerator once per (context, row, class element, parity of r)
+    import wreathsph.spherical as spherical
+
+    numerators, numerator = [], spherical._numerator
+
+    def weighing(ctx, chi, g, r):
+        numerators.append((id(ctx), chi, g, r % 2))
+        return numerator(ctx, chi, g, r)
+
+    monkeypatch.setattr(spherical, "_numerator", weighing)
+    ctx = ctx_of(*config)
+    tab = build_table(ctx, "closed")
+    assert numerators and len(numerators) == len(set(numerators))
+    assert reconcile(ctx).ok()
+    assert build_table(ctx, "closed").values == tab.values
+    assert len(numerators) == len(set(numerators))
+
+
+@pytest.mark.parametrize(
+    "name, xi, n",
+    [("c2", 1, 3), ("c2", 0, 2), ("q8", 1, 1), ("c3", 1, 2), ("c4", 1, 2), ("c4", 0, 2)],
+)
+def test_sign_twist_relation(name, xi, n):
+    # omega_{delta pi, lam}(rho) = (-1)^len(rho_hat) omega_{pi, lam'}(rho),
+    # brute table against brute table, mixed rows included
+    for pi in ("delta", "delta-iota"):
+        ctx = ctx_of(name, xi, pi, n)
+        partner = ctx.unsigned_partner
+        signed, unsigned = build_table(ctx, "brute"), build_table(partner, "brute")
+        assert sorted(lam.transpose() for lam in ctx.rows) == sorted(partner.rows)
+        assert ctx.cols == partner.cols
+        for i, lam in enumerate(ctx.rows):
+            k = partner.rows.index(lam.transpose())
+            for j, rho in enumerate(ctx.cols):
+                sign = (-1) ** len(rho.hat())
+                assert signed.value(i, j) == unsigned.value(k, j) * sign, (pi, lam, rho)
+
+
 def test_spherical_orthogonality():
     for name, xi, pi, n in (("c2", 1, "triv", 2), ("q8", 1, "triv", 1)):
         ctx = ctx_of(name, xi, pi, n)

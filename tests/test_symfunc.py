@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wreathsph import symfunc
 from wreathsph.cyclo import CycNum, ONE, ZERO, cyc, parse_cyc
 from wreathsph.partitions import MultiPartition, Partition, partitions_of, strict_partitions
 from wreathsph.symfunc import (
@@ -15,8 +16,6 @@ from wreathsph.symfunc import (
     p_inner_alpha,
     p_mul,
     p_scale,
-    p_to_m,
-    psi_twist,
     qfunc_p,
     schur_p_expr,
     schurq_p_expr,
@@ -34,6 +33,15 @@ def q_inner(a, b) -> Fraction:
         if w:
             tot += v * w * Fraction(k.aut_order(), 2 ** len(k))
     return tot
+
+
+def p_to_m(f) -> dict:
+    """A p-expansion in the monomial basis."""
+    out = {}
+    for rho, c in f.items():
+        for mu, d in symfunc._p_to_m(rho):
+            out[mu] = out.get(mu, Fraction(0)) + c * d
+    return {k: v for k, v in out.items() if v}
 
 
 def test_sym_character_basics():
@@ -132,8 +140,6 @@ def test_jack_anchors():
 
 
 def test_jack_normalization_squarefree_coefficient():
-    from wreathsph.symfunc import p_to_m
-
     for n in range(1, 6):
         for lam in partitions_of(n):
             m_exp = p_to_m(jack_p_expr(lam, 2))
@@ -160,10 +166,37 @@ def test_jack_orthogonality():
                     )
 
 
-def test_psi_twist():
-    f = {P((2, 1)): Fraction(3), P((1,)): Fraction(1)}
-    g = psi_twist(f, Fraction(1, 2))
-    assert g == {P((2, 1)): Fraction(3, 4), P((1,)): Fraction(1, 2)}
+def test_jack_duality_at_two_and_one_half():
+    # Macdonald VI (10.24) at alpha = 2: (p_r -> p_r/2) J^(1/2)_mu' equals
+    # 2^-m eps J^(2)_mu, where eps p_rho = (-1)^(m - len(rho)) p_rho
+    for m in range(1, 9):
+        for mu in partitions_of(m):
+            lhs = {
+                rho: c * Fraction(1, 2 ** len(rho))
+                for rho, c in jack_p_expr(mu.transpose(), Fraction(1, 2)).items()
+            }
+            rhs = {
+                rho: c * Fraction((-1) ** (m - len(rho)), 2**m)
+                for rho, c in jack_p_expr(mu, 2).items()
+            }
+            assert lhs == rhs, mu
+
+
+def test_jack_one_gram_schmidt_pass_per_weight(monkeypatch):
+    # every Jack function of a weight comes from one pass over its monomials
+    calls = []
+    monomial_p = symfunc.monomial_p
+
+    def counting(mu):
+        calls.append(mu)
+        return monomial_p(mu)
+
+    monkeypatch.setattr(symfunc, "monomial_p", counting)
+    symfunc.jack_p.cache_clear()
+    symfunc._jack_basis.cache_clear()
+    for lam in partitions_of(6):
+        jack_p_expr(lam, 2)
+    assert sorted(calls) == sorted(partitions_of(6))
 
 
 # -- multi-alphabet elements ----------------------------------------------------
