@@ -153,22 +153,44 @@ def _json_object(source, kind: str) -> dict:
     return source
 
 
+def _typed(value, kind: type) -> bool:
+    """Whether a JSON value is of the given kind; true and false are not
+    integers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _list_of(value, kind: type) -> bool:
+    """Whether value is a JSON list of values of the given kind."""
+    return isinstance(value, list) and all(_typed(v, kind) for v in value)
+
+
+def _require(ok: bool, name: str, key: str, what: str) -> None:
+    if not ok:
+        raise GroupError(f"{name}: {key!r} must be {what}")
+
+
 def load_group(source) -> FiniteGroup:
     """Load a group from a JSON file path or an already-parsed dict."""
     obj = _json_object(source, "group")
     name = obj.get("name", "group")
     if "mul" in obj:
+        _require(_list_of(obj["mul"], list) and all(_list_of(r, int) for r in obj["mul"]),
+                 name, "mul", "a list of rows of integers")
         group = FiniteGroup(name, obj["mul"])
     elif "perm_gens" in obj:
-        if not obj["perm_gens"]:
+        gens, cap = obj["perm_gens"], obj.get("cap", 10000)
+        _require(_list_of(gens, list) and all(_list_of(g, int) for g in gens),
+                 name, "perm_gens", "a list of permutations of integers")
+        _require(_typed(cap, int), name, "cap", "an integer")
+        if not gens:
             raise GroupError(f"{name}: 'perm_gens' lists no generators")
-        group = group_from_perm_gens(name, obj["perm_gens"], cap=obj.get("cap", 10000))
+        group = group_from_perm_gens(name, gens, cap=cap)
     else:
         raise GroupError(f"{name}: group file needs a 'mul' table or 'perm_gens'")
-    if "order" in obj and obj["order"] != group.order:
-        raise GroupError(
-            f"{name}: declared order {obj['order']} but found {group.order} elements"
-        )
+    order = obj.get("order", group.order)
+    _require(_typed(order, int), name, "order", "an integer")
+    if order != group.order:
+        raise GroupError(f"{name}: declared order {order} but found {group.order} elements")
     return group
 
 
@@ -267,13 +289,23 @@ def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTa
     missing = [k for k in ("classes", "chars") if k not in obj]
     if missing:
         raise GroupError(f"{group.name}: table file has no {' or '.join(map(repr, missing))}")
-    reps = tuple(obj["classes"])
+    classes, chars = obj["classes"], obj["chars"]
+    _require(_list_of(classes, int), group.name, "classes", "a list of integers")
+    _require(
+        _list_of(chars, list)
+        and all(_list_of(row, str) and len(row) == len(classes) for row in chars),
+        group.name, "chars", "a list of rows of strings, one per class",
+    )
+    if "names" in obj:
+        _require(_list_of(obj["names"], str) and len(obj["names"]) == len(chars),
+                 group.name, "names", "a list of strings, one per row")
+    reps = tuple(classes)
     if reps != group.class_reps:
         raise GroupError(
             f"{group.name}: table class representatives {reps} do not match "
             f"the computed ones {group.class_reps}"
         )
-    rows = [[parse_cyc(v) for v in row] for row in obj["chars"]]
+    rows = [[parse_cyc(v) for v in row] for row in chars]
     table = CharacterTable(group, rows, names=obj.get("names"))
     if validate:
         problems = validate_table(group, table)

@@ -60,6 +60,7 @@ from .wreath import (
     epsilon_sign,
     hg_elements,
     hyperoct_perms,
+    hyperoct_pi,
     irrep_label_set,
     k_order,
     k_type_weights,
@@ -67,7 +68,6 @@ from .wreath import (
     p_cycles,
     p_inverse,
     perm_of_partition,
-    pi_value,
     w_identity,
     wreath_character,
     wreath_order,
@@ -224,18 +224,20 @@ class SphericalContext:
 @cache
 def _classical_buckets(pi: str, rho_hat: Partition) -> dict[Partition, int]:
     """Per cycle type of h t^-1, the sum of pi(h) over the centralizer
-    subgroup H_n, where t is the doubled-cycle permutation of rho_hat.
-    Zero sums are dropped.  Buckets are keyed by the sorted cycle lengths;
-    each nonzero one is labelled by cycle_type at its first element."""
+    subgroup H_n, where t is the doubled-cycle permutation of rho_hat;
+    pi(h) is read from the construction of H_n.  Zero sums are dropped.
+    Buckets are keyed by the sorted cycle lengths; each nonzero one is
+    labelled by cycle_type at its first element."""
     tinv = p_inverse(perm_of_partition(Partition(tuple(2 * p for p in rho_hat))))
     buckets: dict[tuple[int, ...], list] = {}
-    for h in hyperoct_perms(rho_hat.size):
+    n = rho_hat.size
+    for h, sign in zip(hyperoct_perms(n), hyperoct_pi(pi, n)):
         ht = p_compose(h, tinv)
         key = tuple(sorted(len(c) for c in p_cycles(ht)))
         bucket = buckets.get(key)
         if bucket is None:
             bucket = buckets[key] = [ht, 0]
-        bucket[1] += pi_value(pi, h)
+        bucket[1] += sign
     return {cycle_type(ht): w for ht, w in buckets.values() if w}
 
 

@@ -322,17 +322,47 @@ def in_hyperoct(sigma: Perm) -> bool:
 
 
 @cache
-def hyperoct_perms(n: int) -> tuple[Perm, ...]:
-    """All elements of the centralizer of (01)(23)...(2n-2,2n-1) in S_2n."""
-    out = []
+def _hyperoct(n: int) -> tuple[tuple[Perm, ...], tuple[tuple[int, int], ...]]:
+    """The centralizer of (01)(23)...(2n-2,2n-1) in S_2n, built as
+    prod_i (2i,2i+1)^eps_i . phi(tau) over tau and eps, with the signs
+    ((-1)^|eps|, sign(tau)) of each element taken as it is built."""
+    perms, signs = [], []
     for tau in permutations(range(n)):
-        body = phi_embed(tau)
+        body, tau_sign = phi_embed(tau), p_sign(tau)
         for eps in iproduct((0, 1), repeat=n):
             flips = p_from_transpositions(
                 2 * n, [(2 * i, 2 * i + 1) for i in range(n) if eps[i]]
             )
-            out.append(p_compose(flips, body))
-    return tuple(out)
+            perms.append(p_compose(flips, body))
+            signs.append(((-1) ** sum(eps), tau_sign))
+    return tuple(perms), tuple(signs)
+
+
+@cache
+def hyperoct_perms(n: int) -> tuple[Perm, ...]:
+    """All elements of the centralizer of (01)(23)...(2n-2,2n-1) in S_2n."""
+    return _hyperoct(n)[0]
+
+
+def _pi_of_signs(pi: str, eps_sign: int, tau_sign: int) -> int:
+    """One of the four linear characters of the centralizer subgroup at the
+    element prod_i (2i,2i+1)^eps_i . phi(tau), from (-1)^|eps| and sign(tau)."""
+    if pi == "triv":
+        return 1
+    if pi == "delta":
+        return eps_sign
+    if pi == "iota":
+        return tau_sign
+    if pi == "delta-iota":
+        return eps_sign * tau_sign
+    raise ValueError(f"unknown pi name {pi!r}")
+
+
+@cache
+def hyperoct_pi(pi: str, n: int) -> tuple[int, ...]:
+    """pi at each element of hyperoct_perms(n), in the same order, from the
+    signs taken as each element was built."""
+    return tuple(_pi_of_signs(pi, e, t) for e, t in _hyperoct(n)[1])
 
 
 @cache
@@ -340,15 +370,7 @@ def pi_value(pi: str, sigma: Perm) -> int:
     """Value of one of the four linear characters of the centralizer subgroup;
     raises GroupError when sigma is not in it.  Memoized per (pi, sigma)."""
     eps, tau = hyperoct_decompose(sigma)
-    if pi == "triv":
-        return 1
-    if pi == "delta":
-        return (-1) ** sum(eps)
-    if pi == "iota":
-        return p_sign(tau)
-    if pi == "delta-iota":
-        return (-1) ** sum(eps) * p_sign(tau)
-    raise ValueError(f"unknown pi name {pi!r}")
+    return _pi_of_signs(pi, (-1) ** sum(eps), p_sign(tau))
 
 
 def hg_elements(group: FiniteGroup, n: int, caps: Caps = Caps()) -> list[WreathElement]:
@@ -363,6 +385,21 @@ def hg_elements(group: FiniteGroup, n: int, caps: Caps = Caps()) -> list[WreathE
         for sigma in perms:
             out.append(WreathElement(base, sigma))
     return out
+
+
+_NOT_IN_K = "element is not in the doubled-base subgroup"
+
+
+def _doubled_base_product(group: FiniteGroup, base: tuple[int, ...]) -> int:
+    """g_1...g_n for the doubled base (g_1, g_1, ..., g_n, g_n); raises
+    GroupError when the base is not doubled."""
+    n = len(base) // 2
+    if any(base[2 * i] != base[2 * i + 1] for i in range(n)):
+        raise GroupError(_NOT_IN_K)
+    prod = 0
+    for i in range(n):
+        prod = group.mul[prod][base[2 * i]]
+    return prod
 
 
 def in_hg(x: WreathElement) -> bool:
@@ -388,22 +425,23 @@ class PairedChar:
         if self.pi not in PI_NAMES:
             raise ValueError(f"unknown pi name {self.pi!r}")
 
-    def value(self, x: WreathElement) -> CycNum:
-        """theta(x); raises GroupError when x is not in the subgroup.  The
-        permutation is decomposed once, by the memoized pi_value."""
-        group = self.table.group
-        base = x.base
-        n = len(base) // 2
+    def pi_at(self, perm: Perm) -> int:
+        """pi(perm) through the memoized pi_value; raises GroupError when perm
+        is not in the centralizer subgroup."""
         try:
-            if any(base[2 * i] != base[2 * i + 1] for i in range(n)):
-                raise GroupError("base is not doubled")
-            sign = pi_value(self.pi, x.perm)
+            return pi_value(self.pi, perm)
         except GroupError:
-            raise GroupError("element is not in the doubled-base subgroup") from None
-        prod = 0
-        for i in range(n):
-            prod = group.mul[prod][base[2 * i]]
+            raise GroupError(_NOT_IN_K) from None
+
+    def at_parts(self, prod: int, sign: int) -> CycNum:
+        """theta at an element with base product prod and pi-value sign."""
         return self.table.value(self.xi, prod) * sign
+
+    def value(self, x: WreathElement) -> CycNum:
+        """theta(x) = xi(g_1...g_n) pi(sigma); raises GroupError when x is not
+        in the subgroup."""
+        group = self.table.group
+        return self.at_parts(_doubled_base_product(group, x.base), self.pi_at(x.perm))
 
     def name(self) -> str:
         return f"({self.table.names[self.xi]},{self.pi})"
@@ -531,10 +569,31 @@ def irrep_label_set(
 
 
 def conj_theta_values(theta: PairedChar, hg: list[WreathElement]) -> list[CycNum]:
-    """conj(theta(h)) for every h of hg, in order.  theta takes few distinct
-    values, so equal values share one object."""
+    """conj(theta(h)) for every h of hg, in order; raises GroupError at an
+    element outside the subgroup.  theta(h) depends on h only through its
+    base product and pi of its permutation, so each distinct base is checked
+    and multiplied out once, each distinct permutation goes through pi_value
+    once, and each distinct (product, sign) forms its value once: equal
+    values share one object."""
+    group = theta.table.group
+    prods: dict[tuple[int, ...], int] = {}
+    signs: dict[Perm, int] = {}
+    values: dict[tuple[int, int], CycNum] = {}
     distinct: dict[CycNum, CycNum] = {}
-    return [distinct.setdefault(v, v) for v in (theta.value(h).conjugate() for h in hg)]
+    out = []
+    for h in hg:
+        prod = prods.get(h.base)
+        if prod is None:
+            prod = prods[h.base] = _doubled_base_product(group, h.base)
+        sign = signs.get(h.perm)
+        if sign is None:
+            sign = signs[h.perm] = theta.pi_at(h.perm)
+        v = values.get((prod, sign))
+        if v is None:
+            v = theta.at_parts(prod, sign).conjugate()
+            v = values[(prod, sign)] = distinct.setdefault(v, v)
+        out.append(v)
+    return out
 
 
 def _cycle_walk(perm: Perm, xinv: WreathElement) -> list[tuple[int, tuple]]:

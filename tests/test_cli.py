@@ -198,6 +198,14 @@ def test_selftest_rejects_unknown_criteria(capsys):
         ("group", {"name": "empty", "perm_gens": []}),
         ("group", [[0, 1], [1, 0]]),
         ("table", {"names": ["chi1", "chi2"]}),
+        ("group", {"perm_gens": [5]}),
+        ("group", {"mul": 5}),
+        ("group", {"perm_gens": [[2, 1]], "cap": "10"}),
+        ("group", {"mul": [[0, 1], [1, 0]], "order": "2"}),
+        ("table", {"classes": 5, "chars": [["1", "1"], ["1", "-1"]]}),
+        ("table", {"classes": [0, 1], "chars": [[1]]}),
+        ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1"]]}),
+        ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1", "-1"]], "names": ["a"]}),
     ],
 )
 def test_malformed_input_is_data_error(tmp_path, capsys, kind, payload):

@@ -489,14 +489,17 @@ def test_table_serialization_deterministic(tmp_path):
 )
 def test_brute_passes_over_k(monkeypatch, config):
     # one pass over K per column plus one at the identity, for a whole table
-    # and for a whole reconcile; theta once per element of K per context;
+    # and for a whole reconcile; theta read off its factors, with no
+    # per-element value: each distinct base of K checked and multiplied out
+    # at most once, pi_value called at most once per permutation of H_n;
     # class_type at most once per bucket a pass returns
     import wreathsph.spherical as spherical
     import wreathsph.wreath as wreath
 
-    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0}
+    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0, "bases": 0, "pi": 0}
     k_type_weights = spherical.k_type_weights
     class_type, theta_value = wreath.class_type, wreath.PairedChar.value
+    base_product, pi_value = wreath._doubled_base_product, wreath.pi_value
 
     def counting_k_type_weights(*args):
         counts["passes"] += 1
@@ -512,15 +515,27 @@ def test_brute_passes_over_k(monkeypatch, config):
         counts["theta"] += 1
         return theta_value(self, x)
 
+    def counting_base_product(group, base):
+        counts["bases"] += 1
+        return base_product(group, base)
+
+    def counting_pi_value(pi, sigma):
+        counts["pi"] += 1
+        return pi_value(pi, sigma)
+
     monkeypatch.setattr(spherical, "k_type_weights", counting_k_type_weights)
     monkeypatch.setattr(wreath, "class_type", counting_class_type)
     monkeypatch.setattr(wreath.PairedChar, "value", counting_theta_value)
+    monkeypatch.setattr(wreath, "_doubled_base_product", counting_base_product)
+    monkeypatch.setattr(wreath, "pi_value", counting_pi_value)
     for run in (lambda ctx: build_table(ctx, "brute"), reconcile):
         ctx = ctx_of(*config)
-        counts.update(passes=0, buckets=0, class_type=0, theta=0)
+        counts.update(passes=0, buckets=0, class_type=0, theta=0, bases=0, pi=0)
         run(ctx)
         assert counts["passes"] == len(ctx.cols) + 1
-        assert counts["theta"] == ctx.hg_size
+        assert counts["theta"] == 0
+        assert 0 < counts["bases"] <= ctx.group.order**ctx.n
+        assert 0 < counts["pi"] <= len(hyperoct_perms(ctx.n))
         assert 0 < counts["class_type"] <= counts["buckets"]
         # the weights are kept: the same table again makes no pass
         after = dict(counts)
@@ -537,6 +552,32 @@ def direct_classical_spherical(shape, pi, rho_hat):
     for h in perms:
         total += pi_value(pi, h) * sym_character(shape, cycle_type(p_compose(h, tinv)))
     return total / len(perms)
+
+
+def test_classical_spherical_makes_no_decomposition(monkeypatch):
+    # cold, the classical values read pi from the construction of H_n
+    import wreathsph.spherical as spherical
+    import wreathsph.wreath as wreath
+
+    calls = []
+    decompose = wreath.hyperoct_decompose
+
+    def counting_decompose(sigma):
+        calls.append(sigma)
+        return decompose(sigma)
+
+    monkeypatch.setattr(wreath, "hyperoct_decompose", counting_decompose)
+    for memo in (spherical._classical_buckets, wreath.hyperoct_pi, wreath.pi_value):
+        memo.cache_clear()
+    for n in range(1, 4):
+        for shape in partitions_of(2 * n):
+            for pi in ("triv", "delta", "iota", "delta-iota"):
+                for rho_hat in partitions_of(n):
+                    classical_spherical(shape, pi, rho_hat)
+    assert calls == []
+    # the counter sees a decomposition made through pi_value
+    pi_value("delta", hyperoct_perms(2)[1])
+    assert len(calls) == 1
 
 
 def test_classical_spherical_matches_direct_average():

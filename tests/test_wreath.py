@@ -37,6 +37,7 @@ from wreathsph.wreath import (
     hg_elements,
     hyperoct_decompose,
     hyperoct_perms,
+    hyperoct_pi,
     in_hg,
     irrep_label_set,
     k_basis_sg2,
@@ -238,6 +239,44 @@ def test_theta_rejects_outside_subgroup():
     for _ in range(2):
         with pytest.raises(GroupError, match="not in the doubled-base subgroup"):
             theta.value(outside)
+
+
+def test_conj_theta_values_match_per_element_theta():
+    # theta read off the base product and pi of the permutation equals
+    # theta element by element: every bundled group at n <= 2 (a seeded
+    # sample of K where it has more than 4096 elements), every linear xi
+    # and every pi; equal values share one object, and an element with an
+    # undoubled base or a permutation outside H_n still raises
+    for name in bundled_names():
+        group, table = bundled(name)
+        rng = random.Random(f"theta-{name}")
+        for n in (1, 2):
+            hg = hg_elements(group, n)
+            if len(hg) > 4096:
+                hg = rng.sample(hg, 512)
+            g = group.order - 1
+            outside = [WreathElement((g,) * 4, (1, 2, 0, 3))] if n == 2 else []
+            if g:
+                outside.append(WreathElement((g,) * (2 * n - 1) + (0,), hg[0].perm))
+            for xi in linear_characters(table):
+                for pi in PI_NAMES:
+                    theta = PairedChar(table, xi, pi, n)
+                    got = conj_theta_values(theta, hg)
+                    want = [theta.value(h).conjugate() for h in hg]
+                    assert got == want, (name, n, xi, pi)
+                    assert len({id(v) for v in got}) == len(set(got))
+                    for x in outside:
+                        with pytest.raises(GroupError, match="not in the doubled-base"):
+                            conj_theta_values(theta, hg[:5] + [x] + hg[5:])
+
+
+def test_hyperoct_pi_read_from_construction():
+    # pi at each element of H_n, from the signs taken as it was built,
+    # equals pi through the decomposition
+    for n in range(1, 5):
+        perms = hyperoct_perms(n)
+        for pi in PI_NAMES:
+            assert hyperoct_pi(pi, n) == tuple(pi_value(pi, h) for h in perms), (n, pi)
 
 
 def test_block_permutation_anchor():
