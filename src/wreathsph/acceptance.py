@@ -43,13 +43,11 @@ from .wreath import (
     PI_NAMES,
     PairedChar,
     WreathElement,
-    conj_theta_values,
     coset_label_set,
     coset_rep,
     decompose_induced,
     epsilon_sign,
     hg_elements,
-    in_hg,
     irrep_label_set,
     k_basis_sg2,
     k_order,
@@ -191,6 +189,7 @@ def criterion_5() -> CriterionResult:
         fus0 = fuse_classes(group, table, 0)
         for n in ns:
             hg = hg_elements(group, n)
+            members = set(hg)
             all_rhos = multipartitions(len(fus0.merged), n)
             pair_cache = {}
             for rho in all_rhos:
@@ -199,13 +198,13 @@ def criterion_5() -> CriterionResult:
                 pairs = []
                 for h in hg:
                     k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
-                    if in_hg(k):
+                    if k in members:
                         pairs.append((h, k))
                 pair_cache[rho] = pairs
             for xi in lin:
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
-                    conj_theta = dict(zip(hg, conj_theta_values(theta, hg)))
+                    conj_theta = {h: theta.value(h).conjugate() for h in hg}
                     legal = set(
                         coset_label_set(table, fus0, xi, epsilon_sign(pi), n)
                     )

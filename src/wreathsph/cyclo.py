@@ -144,14 +144,10 @@ class CycNum:
 
     __slots__ = ("conductor", "coeffs", "_hash", "_text", "_vector")
 
-    def __init__(self, conductor: int, coeffs: dict[int, Fraction], _raw: bool = False):
-        if _raw:
-            self.conductor = conductor
-            self.coeffs = coeffs
-        else:
-            c = canonicalize(conductor, coeffs)
-            self.conductor = c.conductor
-            self.coeffs = c.coeffs
+    def __init__(self, conductor: int, coeffs: dict[int, Fraction]):
+        # canonical data only; canonicalize builds a CycNum from any other
+        self.conductor = conductor
+        self.coeffs = coeffs
         self._hash = None
         self._text = None
         self._vector = None  # cyc_vector's last form
@@ -161,7 +157,7 @@ class CycNum:
     @staticmethod
     def rational(x) -> "CycNum":
         x = Fraction(x)
-        return CycNum(1, {0: x} if x else {}, _raw=True)
+        return CycNum(1, {0: x} if x else {})
 
     # -- basic queries -------------------------------------------------
 
@@ -204,7 +200,7 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.conductor, {k: -v for k, v in self.coeffs.items()}, _raw=True)
+        return CycNum(self.conductor, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -225,7 +221,7 @@ class CycNum:
             c = self.coeffs.get(0, Fraction(0))
             if not c:
                 return ZERO
-            return CycNum(other.conductor, {k: c * v for k, v in other.coeffs.items()}, _raw=True)
+            return CycNum(other.conductor, {k: c * v for k, v in other.coeffs.items()})
         if other.conductor == 1:
             return other * self
         n = lcm(self.conductor, other.conductor)
@@ -274,7 +270,7 @@ class CycNum:
         n = self.conductor
         if n == 1:
             return self
-        return CycNum(n, {(n - k) % n: v for k, v in self.coeffs.items()})
+        return canonicalize(n, {(n - k) % n: v for k, v in self.coeffs.items()})
 
     # -- comparison / hashing -------------------------------------------
 
@@ -419,7 +415,7 @@ def vector_cyc(vec: list[int], den: int) -> CycNum:
                 break
         else:
             break
-    return CycNum(n, {i: Fraction(v, den) for i, v in enumerate(red) if v}, _raw=True)
+    return CycNum(n, {i: Fraction(v, den) for i, v in enumerate(red) if v})
 
 
 def sum_products(items) -> CycNum:

@@ -176,6 +176,8 @@ def load_group(source) -> FiniteGroup:
     if "mul" in obj:
         _require(_list_of(obj["mul"], list) and all(_list_of(r, int) for r in obj["mul"]),
                  name, "mul", "a list of rows of integers")
+        if not obj["mul"]:
+            raise GroupError(f"{name}: 'mul' has no rows")
         group = FiniteGroup(name, obj["mul"])
     elif "perm_gens" in obj:
         gens, cap = obj["perm_gens"], obj.get("cap", 10000)

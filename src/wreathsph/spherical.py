@@ -52,7 +52,7 @@ from .wreath import (
     PairedChar,
     WreathElement,
     class_type,  # not used here; perfbench/test_tracing.py counts calls through it
-    conj_theta_values,
+    conj_theta_table,
     coset_label_set,
     coset_rep,
     cycle_type,
@@ -123,13 +123,10 @@ class SphericalContext:
     # -- shared precomputations -------------------------------------------------
 
     @cached_property
-    def hg(self) -> list[WreathElement]:
-        return hg_elements(self.group, self.n, self.caps)
-
-    @cached_property
-    def conj_theta(self) -> list[CycNum]:
-        """conj(theta(h)) for each h of hg, in the same order."""
-        return conj_theta_values(self.theta, self.hg)
+    def theta_factors(self) -> dict[int, list[tuple[tuple[int, ...], CycNum]]]:
+        """conj(theta) per doubled base and value of pi, read off the
+        construction of K once per context (conj_theta_table)."""
+        return conj_theta_table(self.theta, self.caps)
 
     @cached_property
     def hg_size(self) -> int:
@@ -182,7 +179,7 @@ class SphericalContext:
         one pass over K per evaluation element, memoized."""
         weights = self._weights.get(x)
         if weights is None:
-            weights = k_type_weights(self.group, self.hg, self.conj_theta, x)
+            weights = k_type_weights(self.theta, self.theta_factors, x)
             self._weights[x] = weights
         return weights
 
@@ -335,7 +332,8 @@ def coset_order(ctx: SphericalContext, rho: MultiPartition) -> int:
 def coset_order_brute(ctx: SphericalContext, rho: MultiPartition) -> int:
     if ctx.big_order > ctx.caps.max_elements:
         raise CapExceeded("cap-elements", ctx.caps.max_elements, ctx.big_order)
-    return len(double_coset(ctx.group, ctx.hg, ctx.rep(rho)))
+    hg = hg_elements(ctx.group, ctx.n, ctx.caps)
+    return len(double_coset(ctx.group, hg, ctx.rep(rho)))
 
 
 # -- characteristic map ------------------------------------------------------------------

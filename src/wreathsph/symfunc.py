@@ -443,7 +443,8 @@ class SymFuncElem:
         den = self._den * dc
         return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, self._weight)
 
-    def _mul(self, other: "SymFuncElem") -> "SymFuncElem":
+    def __mul__(self, other: "SymFuncElem") -> "SymFuncElem":
+        self._check(other)
         weight = self._weight + other._weight
         if weight > _FIELD_MAX:
             raise OverflowError(
@@ -454,10 +455,6 @@ class SymFuncElem:
         vecs = _product(_lift(self._vecs, self._n, n), _lift(other._vecs, other._n, n), n)
         den = self._den * other._den
         return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, weight)
-
-    def __mul__(self, other: "SymFuncElem") -> "SymFuncElem":
-        self._check(other)
-        return self._mul(other)
 
     def sign_twist(self) -> "SymFuncElem":
         """The ring map p_r(a) -> -p_r(a): each monomial times (-1)^(its

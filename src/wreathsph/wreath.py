@@ -287,40 +287,6 @@ def phi_embed(tau: Perm) -> Perm:
     return tuple(out)
 
 
-def hyperoct_decompose(sigma: Perm) -> tuple[tuple[int, ...], Perm]:
-    """Write sigma = prod_i (2i,2i+1)^eps_i . phi(tau); raises if impossible."""
-    if len(sigma) % 2:
-        raise ValueError("degree must be even")
-    n = len(sigma) // 2
-    tau = []
-    for i in range(n):
-        b0, b1 = sigma[2 * i] // 2, sigma[2 * i + 1] // 2
-        if b0 != b1:
-            raise GroupError(f"permutation does not preserve the pair blocks: {sigma}")
-        tau.append(b0)
-    tau = tuple(tau)
-    if sorted(tau) != list(range(n)):
-        raise GroupError(f"block action is not a permutation: {sigma}")
-    rest = p_compose(sigma, p_inverse(phi_embed(tau)))
-    eps = []
-    for i in range(n):
-        if rest[2 * i] == 2 * i and rest[2 * i + 1] == 2 * i + 1:
-            eps.append(0)
-        elif rest[2 * i] == 2 * i + 1 and rest[2 * i + 1] == 2 * i:
-            eps.append(1)
-        else:
-            raise GroupError(f"residual part is not a block flip: {sigma}")
-    return tuple(eps), tau
-
-
-def in_hyperoct(sigma: Perm) -> bool:
-    try:
-        hyperoct_decompose(sigma)
-        return True
-    except GroupError:
-        return False
-
-
 @cache
 def _hyperoct(n: int) -> tuple[tuple[Perm, ...], tuple[tuple[int, int], ...]]:
     """The centralizer of (01)(23)...(2n-2,2n-1) in S_2n, built as
@@ -366,25 +332,37 @@ def hyperoct_pi(pi: str, n: int) -> tuple[int, ...]:
 
 
 @cache
+def _hyperoct_index(n: int) -> dict[Perm, int]:
+    """The position of each element of H_n in hyperoct_perms(n)."""
+    return {sigma: i for i, sigma in enumerate(hyperoct_perms(n))}
+
+
 def pi_value(pi: str, sigma: Perm) -> int:
-    """Value of one of the four linear characters of the centralizer subgroup;
-    raises GroupError when sigma is not in it.  Memoized per (pi, sigma)."""
-    eps, tau = hyperoct_decompose(sigma)
-    return _pi_of_signs(pi, (-1) ** sum(eps), p_sign(tau))
+    """Value of one of the four linear characters of the centralizer subgroup,
+    looked up in its construction; raises GroupError when sigma is not in it."""
+    n = len(sigma) // 2
+    i = _hyperoct_index(n).get(sigma)
+    if i is None:
+        raise GroupError(f"permutation is not in the block centralizer: {sigma}")
+    return hyperoct_pi(pi, n)[i]
 
 
-def hg_elements(group: FiniteGroup, n: int, caps: Caps = Caps()) -> list[WreathElement]:
-    """The doubled-base subgroup of G wr S_2n, enumerated explicitly."""
+def _doubled_bases(group: FiniteGroup, n: int, caps: Caps) -> list[tuple[int, ...]]:
+    """Every doubled base (g_1, g_1, ..., g_n, g_n), in the order of G^n;
+    refuses a doubled-base subgroup of more than caps.max_elements elements."""
     size = k_order(group, n)
     if size > caps.max_elements:
         raise CapExceeded("cap-elements", caps.max_elements, size)
+    return [tuple(gs[i // 2] for i in range(2 * n))
+            for gs in iproduct(range(group.order), repeat=n)]
+
+
+def hg_elements(group: FiniteGroup, n: int, caps: Caps = Caps()) -> list[WreathElement]:
+    """The doubled-base subgroup of G wr S_2n, enumerated explicitly: each
+    doubled base with each element of H_n."""
     perms = hyperoct_perms(n)
-    out = []
-    for gs in iproduct(range(group.order), repeat=n):
-        base = tuple(gs[i // 2] for i in range(2 * n))
-        for sigma in perms:
-            out.append(WreathElement(base, sigma))
-    return out
+    return [WreathElement(base, sigma)
+            for base in _doubled_bases(group, n, caps) for sigma in perms]
 
 
 _NOT_IN_K = "element is not in the doubled-base subgroup"
@@ -400,13 +378,6 @@ def _doubled_base_product(group: FiniteGroup, base: tuple[int, ...]) -> int:
     for i in range(n):
         prod = group.mul[prod][base[2 * i]]
     return prod
-
-
-def in_hg(x: WreathElement) -> bool:
-    base = x.base
-    if any(base[2 * i] != base[2 * i + 1] for i in range(len(base) // 2)):
-        return False
-    return in_hyperoct(x.perm)
 
 
 @dataclass(frozen=True)
@@ -425,23 +396,15 @@ class PairedChar:
         if self.pi not in PI_NAMES:
             raise ValueError(f"unknown pi name {self.pi!r}")
 
-    def pi_at(self, perm: Perm) -> int:
-        """pi(perm) through the memoized pi_value; raises GroupError when perm
-        is not in the centralizer subgroup."""
-        try:
-            return pi_value(self.pi, perm)
-        except GroupError:
-            raise GroupError(_NOT_IN_K) from None
-
-    def at_parts(self, prod: int, sign: int) -> CycNum:
-        """theta at an element with base product prod and pi-value sign."""
-        return self.table.value(self.xi, prod) * sign
-
     def value(self, x: WreathElement) -> CycNum:
         """theta(x) = xi(g_1...g_n) pi(sigma); raises GroupError when x is not
         in the subgroup."""
-        group = self.table.group
-        return self.at_parts(_doubled_base_product(group, x.base), self.pi_at(x.perm))
+        try:
+            sign = pi_value(self.pi, x.perm)
+        except GroupError:
+            raise GroupError(_NOT_IN_K) from None
+        value = self.table.value(self.xi, _doubled_base_product(self.table.group, x.base))
+        return value if sign > 0 else -value
 
     def name(self) -> str:
         return f"({self.table.names[self.xi]},{self.pi})"
@@ -568,31 +531,27 @@ def irrep_label_set(
 # -- one pass over the doubled-base subgroup ---------------------------------------
 
 
-def conj_theta_values(theta: PairedChar, hg: list[WreathElement]) -> list[CycNum]:
-    """conj(theta(h)) for every h of hg, in order; raises GroupError at an
-    element outside the subgroup.  theta(h) depends on h only through its
-    base product and pi of its permutation, so each distinct base is checked
-    and multiplied out once, each distinct permutation goes through pi_value
-    once, and each distinct (product, sign) forms its value once: equal
-    values share one object."""
-    group = theta.table.group
-    prods: dict[tuple[int, ...], int] = {}
-    signs: dict[Perm, int] = {}
-    values: dict[tuple[int, int], CycNum] = {}
+def conj_theta_table(
+    theta: PairedChar, caps: Caps = Caps()
+) -> dict[int, list[tuple[tuple[int, ...], CycNum]]]:
+    """K is its doubled bases times H_n, and theta(h) = xi(g_1...g_n) pi(sigma)
+    for h = (doubled base of g_1, ..., g_n ; sigma).  So per value s = +-1 of
+    pi, this lists every doubled base with conj(theta) at (base ; sigma) for
+    any sigma with pi(sigma) = s, in the order of the bases: |G|^n entries
+    each.  Each value is formed once per base product, and equal values share
+    one object.  Refuses K over the element cap."""
+    table, group = theta.table, theta.table.group
+    per_prod: dict[int, dict[int, CycNum]] = {}
     distinct: dict[CycNum, CycNum] = {}
-    out = []
-    for h in hg:
-        prod = prods.get(h.base)
-        if prod is None:
-            prod = prods[h.base] = _doubled_base_product(group, h.base)
-        sign = signs.get(h.perm)
-        if sign is None:
-            sign = signs[h.perm] = theta.pi_at(h.perm)
-        v = values.get((prod, sign))
-        if v is None:
-            v = theta.at_parts(prod, sign).conjugate()
-            v = values[(prod, sign)] = distinct.setdefault(v, v)
-        out.append(v)
+    out: dict[int, list] = {1: [], -1: []}
+    for base in _doubled_bases(group, theta.n, caps):
+        prod = _doubled_base_product(group, base)
+        at = per_prod.get(prod)
+        if at is None:
+            v = table.value(theta.xi, prod).conjugate()
+            at = per_prod[prod] = {s: distinct.setdefault(w, w) for s, w in ((1, v), (-1, -v))}
+        for s, entries in out.items():
+            entries.append((base, at[s]))
     return out
 
 
@@ -615,40 +574,40 @@ def _cycle_walk(perm: Perm, xinv: WreathElement) -> list[tuple[int, tuple]]:
 
 
 def k_type_weights(
-    group: FiniteGroup,
-    hg: list[WreathElement],
-    weights: list[CycNum],
+    theta: PairedChar,
+    factors: dict[int, list[tuple[tuple[int, ...], CycNum]]],
     x: WreathElement,
 ) -> dict[MultiPartition, CycNum]:
-    """One pass over the subgroup: per class type of h x^-1, the sum of the
-    weights of the h of hg with that type.  Zero sums are dropped.
+    """One pass over the subgroup: per class type of h x^-1, the sum of
+    conj(theta(h)) over the h of K with that type, factors being
+    conj_theta_table(theta).  Zero sums are dropped.
 
-    The cycles of h x^-1 depend only on h's permutation, so they are walked
-    once per permutation; each element only multiplies its base along them.
-    A bucket counts its distinct weights and is summed once, and each
-    nonzero bucket is labelled by class_type at its first element."""
+    K is walked as H_n times the doubled bases: the cycles of h x^-1 depend
+    only on h's permutation sigma, so they are walked once per sigma, and
+    each base only multiplies itself along them, weighted from the row of
+    factors at pi(sigma).  A bucket counts its distinct weights and is
+    summed once, and each nonzero bucket is labelled by class_type at its
+    first element."""
+    group = theta.table.group
     xinv = w_inv(group, x)
     mul, class_of = group.mul, group.class_of
-    walks: dict[Perm, list[tuple[int, tuple]]] = {}
     buckets: dict[tuple, tuple[WreathElement, dict[CycNum, int]]] = {}
-    for h, w in zip(hg, weights):
-        walk = walks.get(h.perm)
-        if walk is None:
-            walk = walks[h.perm] = _cycle_walk(h.perm, xinv)
-        base = h.base
-        key = []
-        for length, steps in walk:
-            prod = 0
-            for pos, g in steps:
-                prod = mul[prod][mul[base[pos]][g]]
-            key.append((class_of[prod], length))
-        key.sort()
-        key = tuple(key)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = (h, {})
-        counts = bucket[1]
-        counts[w] = counts.get(w, 0) + 1
+    for sigma, sign in zip(hyperoct_perms(theta.n), hyperoct_pi(theta.pi, theta.n)):
+        walk = _cycle_walk(sigma, xinv)
+        for base, w in factors[sign]:
+            key = []
+            for length, steps in walk:
+                prod = 0
+                for pos, g in steps:
+                    prod = mul[prod][mul[base[pos]][g]]
+                key.append((class_of[prod], length))
+            key.sort()
+            key = tuple(key)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = (WreathElement(base, sigma), {})
+            counts = bucket[1]
+            counts[w] = counts.get(w, 0) + 1
     out: dict[MultiPartition, CycNum] = {}
     for h0, counts in buckets.values():
         total = sum_products((w, ONE, c) for w, c in counts.items())
@@ -661,12 +620,11 @@ def k_type_weights(
 
 
 def theta_type_weights(
-    group: FiniteGroup, theta: PairedChar, caps: Caps = Caps()
+    theta: PairedChar, caps: Caps = Caps()
 ) -> dict[MultiPartition, CycNum]:
     """Per class type of the big wreath product, the sum of conj(theta) over
     the subgroup elements of that type: the pass over K at the identity."""
-    hg = hg_elements(group, theta.n, caps)
-    return k_type_weights(group, hg, conj_theta_values(theta, hg), w_identity(2 * theta.n))
+    return k_type_weights(theta, conj_theta_table(theta, caps), w_identity(2 * theta.n))
 
 
 def decompose_induced(
@@ -682,7 +640,7 @@ def decompose_induced(
     m_lam = (1/|K|) sum_rho a_rho prod_chi chi^lam(chi)(rho(chi))."""
     group = table.group
     hg_size = k_order(group, theta.n)
-    weights = theta_type_weights(group, theta, caps)
+    weights = theta_type_weights(theta, caps)
     lams = multipartitions(len(table.rows), 2 * theta.n)
     work = len(lams) * max(1, len(weights))
     if work > caps.max_classwork:

@@ -56,6 +56,15 @@ def test_non_group_table_rejected():
         FiniteGroup("bad", nonassoc)
 
 
+def test_empty_group_data():
+    # an empty multiplication table names 'mul'; a degree-0 generator is the
+    # trivial group, the same as the bundled c1
+    with pytest.raises(GroupError, match="'mul'"):
+        load_group({"mul": []})
+    trivial = load_group({"perm_gens": [[]]})
+    assert trivial.order == 1 and trivial.mul == bundled("c1")[0].mul
+
+
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         group_from_perm_gens("big", [[2, 3, 4, 5, 6, 7, 8, 1]], cap=4)

@@ -78,7 +78,7 @@ def test_normalization_at_identity():
 
 def test_representative_invariance():
     ctx = ctx_of("q8", 1, "iota", 1)
-    hg = ctx.hg
+    hg = hg_elements(ctx.group, ctx.n)
     for lam in ctx.rows:
         for rho in ctx.cols:
             x = ctx.rep(rho)
@@ -489,17 +489,16 @@ def test_table_serialization_deterministic(tmp_path):
 )
 def test_brute_passes_over_k(monkeypatch, config):
     # one pass over K per column plus one at the identity, for a whole table
-    # and for a whole reconcile; theta read off its factors, with no
-    # per-element value: each distinct base of K checked and multiplied out
-    # at most once, pi_value called at most once per permutation of H_n;
-    # class_type at most once per bucket a pass returns
+    # and for a whole reconcile; theta read off the construction of K, from
+    # a factor table built once per context, with no PairedChar.value or
+    # pi_value call; class_type at most once per bucket a pass returns
     import wreathsph.spherical as spherical
     import wreathsph.wreath as wreath
 
-    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0, "bases": 0, "pi": 0}
-    k_type_weights = spherical.k_type_weights
+    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0, "pi": 0, "tables": 0}
+    k_type_weights, conj_theta_table = spherical.k_type_weights, spherical.conj_theta_table
     class_type, theta_value = wreath.class_type, wreath.PairedChar.value
-    base_product, pi_value = wreath._doubled_base_product, wreath.pi_value
+    pi_value = wreath.pi_value
 
     def counting_k_type_weights(*args):
         counts["passes"] += 1
@@ -515,27 +514,26 @@ def test_brute_passes_over_k(monkeypatch, config):
         counts["theta"] += 1
         return theta_value(self, x)
 
-    def counting_base_product(group, base):
-        counts["bases"] += 1
-        return base_product(group, base)
-
     def counting_pi_value(pi, sigma):
         counts["pi"] += 1
         return pi_value(pi, sigma)
 
+    def counting_conj_theta_table(*args):
+        counts["tables"] += 1
+        return conj_theta_table(*args)
+
     monkeypatch.setattr(spherical, "k_type_weights", counting_k_type_weights)
+    monkeypatch.setattr(spherical, "conj_theta_table", counting_conj_theta_table)
     monkeypatch.setattr(wreath, "class_type", counting_class_type)
     monkeypatch.setattr(wreath.PairedChar, "value", counting_theta_value)
-    monkeypatch.setattr(wreath, "_doubled_base_product", counting_base_product)
     monkeypatch.setattr(wreath, "pi_value", counting_pi_value)
     for run in (lambda ctx: build_table(ctx, "brute"), reconcile):
         ctx = ctx_of(*config)
-        counts.update(passes=0, buckets=0, class_type=0, theta=0, bases=0, pi=0)
+        counts.update(passes=0, buckets=0, class_type=0, theta=0, pi=0, tables=0)
         run(ctx)
         assert counts["passes"] == len(ctx.cols) + 1
-        assert counts["theta"] == 0
-        assert 0 < counts["bases"] <= ctx.group.order**ctx.n
-        assert 0 < counts["pi"] <= len(hyperoct_perms(ctx.n))
+        assert counts["theta"] == counts["pi"] == 0
+        assert counts["tables"] == 1
         assert 0 < counts["class_type"] <= counts["buckets"]
         # the weights are kept: the same table again makes no pass
         after = dict(counts)
@@ -552,32 +550,6 @@ def direct_classical_spherical(shape, pi, rho_hat):
     for h in perms:
         total += pi_value(pi, h) * sym_character(shape, cycle_type(p_compose(h, tinv)))
     return total / len(perms)
-
-
-def test_classical_spherical_makes_no_decomposition(monkeypatch):
-    # cold, the classical values read pi from the construction of H_n
-    import wreathsph.spherical as spherical
-    import wreathsph.wreath as wreath
-
-    calls = []
-    decompose = wreath.hyperoct_decompose
-
-    def counting_decompose(sigma):
-        calls.append(sigma)
-        return decompose(sigma)
-
-    monkeypatch.setattr(wreath, "hyperoct_decompose", counting_decompose)
-    for memo in (spherical._classical_buckets, wreath.hyperoct_pi, wreath.pi_value):
-        memo.cache_clear()
-    for n in range(1, 4):
-        for shape in partitions_of(2 * n):
-            for pi in ("triv", "delta", "iota", "delta-iota"):
-                for rho_hat in partitions_of(n):
-                    classical_spherical(shape, pi, rho_hat)
-    assert calls == []
-    # the counter sees a decomposition made through pi_value
-    pi_value("delta", hyperoct_perms(2)[1])
-    assert len(calls) == 1
 
 
 def test_classical_spherical_matches_direct_average():

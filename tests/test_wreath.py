@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from wreathsph.cyclo import CycNum, ONE, ZERO, sum_products
 from wreathsph.groups import (
+    CapExceeded,
+    Caps,
     GroupError,
     bundled,
     bundled_group_path,
@@ -27,7 +30,7 @@ from wreathsph.wreath import (
     _self_row_family,
     WreathElement,
     class_type,
-    conj_theta_values,
+    conj_theta_table,
     coset_label_set,
     coset_rep,
     cycle_type,
@@ -35,10 +38,8 @@ from wreathsph.wreath import (
     double_coset,
     epsilon_sign,
     hg_elements,
-    hyperoct_decompose,
     hyperoct_perms,
     hyperoct_pi,
-    in_hg,
     irrep_label_set,
     k_basis_sg2,
     k_type_weights,
@@ -46,7 +47,9 @@ from wreathsph.wreath import (
     p_from_transpositions,
     p_identity,
     p_inverse,
+    p_sign,
     perm_of_partition,
+    phi_embed,
     pi_value,
     theta_type_weights,
     type_centralizer_order,
@@ -70,6 +73,29 @@ def random_element(group, n, rng=RNG):
     perm = list(range(n))
     rng.shuffle(perm)
     return WreathElement(base, tuple(perm))
+
+
+def reference_in_hyperoct(sigma):
+    """H_n by its definition: sigma maps each pair {2i, 2i+1} onto a pair."""
+    return len(sigma) % 2 == 0 and all(
+        sigma[2 * i] // 2 == sigma[2 * i + 1] // 2 for i in range(len(sigma) // 2)
+    )
+
+
+def reference_pi(pi, sigma):
+    """pi on H_n from delta(sigma), the sign of sigma on the 2n points, and
+    iota(sigma), the sign of sigma's action on the n pairs."""
+    delta = p_sign(sigma)
+    iota = p_sign(tuple(sigma[2 * i] // 2 for i in range(len(sigma) // 2)))
+    return {"triv": 1, "delta": delta, "iota": iota, "delta-iota": delta * iota}[pi]
+
+
+def reference_in_k(x):
+    """The doubled-base subgroup by its definition: a doubled base and a
+    permutation in H_n."""
+    base = x.base
+    doubled = all(base[2 * i] == base[2 * i + 1] for i in range(len(base) // 2))
+    return doubled and reference_in_hyperoct(x.perm)
 
 
 def reversal_element(m):
@@ -100,7 +126,7 @@ def hecke_basis_value(group, theta, x, hg):
     tot = ZERO
     for h in hg:
         k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
-        if in_hg(k):
+        if reference_in_k(k):
             tot = tot + theta.value(h).conjugate() * theta.value(k).conjugate()
     return tot * Fraction(1, len(hg) ** 2)
 
@@ -186,17 +212,14 @@ def test_hyperoct_order_and_membership():
             assert p_compose(sigma, t) == p_compose(t, sigma)
 
 
-def test_hyperoct_decompose_examples():
+def test_pi_value_examples():
     swap = p_from_transpositions(2, [(0, 1)])
-    eps, tau = hyperoct_decompose(swap)
-    assert eps == (1,) and tau == (0,)
     assert pi_value("delta", swap) == -1 and pi_value("iota", swap) == 1
     cross = p_from_transpositions(4, [(0, 2), (1, 3)])
-    eps, tau = hyperoct_decompose(cross)
-    assert eps == (0, 0) and tau == (1, 0)
     assert pi_value("delta", cross) == 1 and pi_value("iota", cross) == -1
-    with pytest.raises(GroupError):
-        hyperoct_decompose((1, 2, 0, 3))
+    for outside in ((1, 2, 0, 3), (1, 0, 2)):
+        with pytest.raises(GroupError):
+            pi_value("triv", outside)
 
 
 def test_pi_multiplicative():
@@ -233,7 +256,7 @@ def test_theta_rejects_outside_subgroup():
     with pytest.raises(GroupError):
         theta.value(WreathElement((0, 1), p_identity(2)))
     # a doubled base whose permutation moves a point across the pair blocks;
-    # the memoized decomposition must not turn the second call into a value
+    # a second call must not turn into a value either
     theta = PairedChar(table, 1, "iota", 2)
     outside = WreathElement((1, 1, 0, 0), (1, 2, 0, 3))
     for _ in range(2):
@@ -241,42 +264,66 @@ def test_theta_rejects_outside_subgroup():
             theta.value(outside)
 
 
-def test_conj_theta_values_match_per_element_theta():
-    # theta read off the base product and pi of the permutation equals
-    # theta element by element: every bundled group at n <= 2 (a seeded
-    # sample of K where it has more than 4096 elements), every linear xi
-    # and every pi; equal values share one object, and an element with an
-    # undoubled base or a permutation outside H_n still raises
+def test_conj_theta_table_matches_per_element_theta():
+    # theta read off the construction of K equals theta element by element:
+    # every bundled group at n <= 2 (a seeded sample of K where it has more
+    # than 4096 elements), every linear xi and every pi; one entry per
+    # doubled base, in the order hg_elements lists them; equal values share
+    # one object; and the element cap is checked
     for name in bundled_names():
         group, table = bundled(name)
         rng = random.Random(f"theta-{name}")
         for n in (1, 2):
             hg = hg_elements(group, n)
+            bases = list(dict.fromkeys(h.base for h in hg))
+            position = {b: i for i, b in enumerate(bases)}
             if len(hg) > 4096:
                 hg = rng.sample(hg, 512)
-            g = group.order - 1
-            outside = [WreathElement((g,) * 4, (1, 2, 0, 3))] if n == 2 else []
-            if g:
-                outside.append(WreathElement((g,) * (2 * n - 1) + (0,), hg[0].perm))
             for xi in linear_characters(table):
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
-                    got = conj_theta_values(theta, hg)
-                    want = [theta.value(h).conjugate() for h in hg]
-                    assert got == want, (name, n, xi, pi)
-                    assert len({id(v) for v in got}) == len(set(got))
-                    for x in outside:
-                        with pytest.raises(GroupError, match="not in the doubled-base"):
-                            conj_theta_values(theta, hg[:5] + [x] + hg[5:])
+                    factors = conj_theta_table(theta)
+                    assert sorted(factors) == [-1, 1]
+                    for entries in factors.values():
+                        assert [b for b, _ in entries] == bases
+                    for h in hg:
+                        base, got = factors[reference_pi(pi, h.perm)][position[h.base]]
+                        assert base == h.base
+                        assert got == theta.value(h).conjugate(), (name, n, xi, pi, h)
+                    values = [w for entries in factors.values() for _, w in entries]
+                    assert len({id(v) for v in values}) == len(set(values))
+            size = len(bases) * len(hyperoct_perms(n))
+            with pytest.raises(CapExceeded, match="cap-elements"):
+                conj_theta_table(theta, Caps(max_elements=size - 1))
 
 
 def test_hyperoct_pi_read_from_construction():
-    # pi at each element of H_n, from the signs taken as it was built,
-    # equals pi through the decomposition
+    # H_n, pi over it and pi_value agree with the definitions: every
+    # permutation of 2n points for n <= 3, and H_4 with a seeded sample of
+    # S_8; a permutation outside H_n raises through pi_value and through
+    # PairedChar.value
+    _group, table = bundled("c1")
+    rng = random.Random("hyperoct")
     for n in range(1, 5):
         perms = hyperoct_perms(n)
+        assert all(reference_in_hyperoct(h) for h in perms)
         for pi in PI_NAMES:
-            assert hyperoct_pi(pi, n) == tuple(pi_value(pi, h) for h in perms), (n, pi)
+            want = tuple(reference_pi(pi, h) for h in perms)
+            assert hyperoct_pi(pi, n) == want, (n, pi)
+            assert tuple(pi_value(pi, h) for h in perms) == want, (n, pi)
+        if n <= 3:
+            points = list(permutations(range(2 * n)))
+            assert sum(map(reference_in_hyperoct, points)) == len(perms)
+        else:
+            points = [tuple(rng.sample(range(2 * n), 2 * n)) for _ in range(2000)]
+        outside = [s for s in points if not reference_in_hyperoct(s)]
+        for pi in PI_NAMES:
+            theta = PairedChar(table, 0, pi, n)
+            for sigma in outside[:: max(1, len(outside) // 200)]:
+                with pytest.raises(GroupError):
+                    pi_value(pi, sigma)
+                with pytest.raises(GroupError, match="not in the doubled-base"):
+                    theta.value(WreathElement((0,) * (2 * n), sigma))
 
 
 def test_block_permutation_anchor():
@@ -321,8 +368,9 @@ def test_explicit_involution_identities():
         sigma = perm_of_partition(P((2 * m,)))
         assert p_compose(p_compose(x, sigma), p_compose(y, x)) == sigma
         assert p_compose(p_compose(x, y), x) == tau
-        eps, body = hyperoct_decompose(tau)
-        assert eps == (0,) * m
+        # tau = phi(body), with no pair flipped
+        body = tuple(tau[2 * i] // 2 for i in range(m))
+        assert tau == phi_embed(body)
         if m > 1:
             assert cycle_type(body) == P((m,))
 
@@ -345,7 +393,7 @@ def test_explicit_wreath_identities():
         assert prod == WreathElement(
             tuple([0] * (2 * m - 2) + [g, g]), interleaved_cycle(m)
         )
-        assert in_hg(prod)
+        assert reference_in_k(prod)
 
 
 def test_index_sets_q8_shape():
@@ -584,7 +632,7 @@ def test_decompose_inverse_map_matches_forward_rows(name):
     for xi in linear_characters(table):
         for pi in ("triv", "delta", "iota", "delta-iota"):
             theta = PairedChar(table, xi, pi, n)
-            weights = theta_type_weights(group, theta)
+            weights = theta_type_weights(theta)
             direct = {}
             for lam, row in rows.items():
                 tot = sum_products(
@@ -651,45 +699,53 @@ def test_wreath_rows_read_out_once_per_table(monkeypatch, name, n):
 
 
 def per_element_k_type_weights(types, weights):
-    """The reference pass over K: the sum of the weights per class type by
-    one CycNum + per element, where types[i] is class_type(h_i x^-1)."""
+    """The reference pass over K: the sum of the weights per class type,
+    where types[i] is class_type(h_i x^-1), counting each element."""
     out = {}
-    for t, w in zip(types, weights):
-        out[t] = out.get(t, ZERO) + w
+    for (t, w), count in Counter(zip(types, weights)).items():
+        out[t] = out.get(t, ZERO) + w * count
     return {t: v for t, v in out.items() if v}
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("name", ["c2", "c3", "c4", "q8", "gl2f3"])
 def test_k_type_weights_matches_per_element_reference(name, n):
-    # equal buckets in the same order, at the identity, at every coset
-    # representative and at seeded elements of G wr S_2n outside K
+    # the pass over K read off its construction equals the sum over every
+    # element of K of conj(theta(h)), per class type of h x^-1: at the
+    # identity, at every coset representative and at seeded elements of
+    # G wr S_2n outside K; K of gl2f3 at n = 2 has 18,432 elements, so there
+    # a seeded subset of those evaluation points stands in
     group, table = bundled(name)
     rng = random.Random(f"{name}-{n}")
     hg = hg_elements(group, n)
-    # k_type_weights takes any list of elements with their weights; K of
-    # gl2f3 at n = 2 has 18,432 elements, so there a seeded sample stands in
-    if len(hg) > 4096:
-        hg = rng.sample(hg, 256)
     outside = []
     while len(outside) < 3:
         x = random_element(group, 2 * n, rng)
-        if not in_hg(x):
+        if not reference_in_k(x):
             outside.append(x)
+    types_at = {}
     for xi in linear_characters(table):
         fusion = fuse_classes(group, table, xi)
-        weights = {
-            pi: conj_theta_values(PairedChar(table, xi, pi, n), hg) for pi in PI_NAMES
-        }
-        for x in [w_identity(2 * n), *outside] + [
+        points = [w_identity(2 * n), *outside] + [
             coset_rep(group, fusion, rho) for rho in multipartitions(len(fusion.merged), n)
-        ]:
-            xinv = w_inv(group, x)
-            types = [class_type(group, w_mul(group, h, xinv)) for h in hg]
-            for pi in PI_NAMES:
-                got = k_type_weights(group, hg, weights[pi], x)
-                want = per_element_k_type_weights(types, weights[pi])
-                assert list(got.items()) == list(want.items()), (xi, pi, x)
+        ]
+        if len(hg) > 4096:
+            points = rng.sample(points, 2)
+        for pi in PI_NAMES:
+            theta = PairedChar(table, xi, pi, n)
+            factors = conj_theta_table(theta)
+            # equal values and types as one object each, so that counting
+            # compares them by identity
+            distinct = {}
+            weights = [distinct.setdefault(v, v) for v in (theta.value(h).conjugate() for h in hg)]
+            for x in points:
+                if x not in types_at:
+                    xinv = w_inv(group, x)
+                    types = (class_type(group, w_mul(group, h, xinv)) for h in hg)
+                    distinct = {}
+                    types_at[x] = [distinct.setdefault(t, t) for t in types]
+                got = k_type_weights(theta, factors, x)
+                assert got == per_element_k_type_weights(types_at[x], weights), (xi, pi, x)
 
 
 def test_hecke_vanishing_small():
