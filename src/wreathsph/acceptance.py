@@ -52,12 +52,12 @@ from .wreath import (
     k_basis_sg2,
     k_order,
     perm_of_partition,
-    type_class_size,
     w_identity,
     w_inv,
     w_mul,
     wreath_character,  # not used here; perfbench/test_tracing.py counts calls through it
-    wreath_character_row,
+    wreath_character_values,
+    wreath_columns,
     wreath_dim,
     wreath_order,
 )
@@ -427,13 +427,9 @@ def criterion_10() -> CriterionResult:
         group, table = bundled(name)
         for n in range(1, nmax + 1):
             lams = multipartitions(len(table.rows), n)
-            taus = multipartitions(len(group.classes), n)
-            rows = []
-            for lam in lams:
-                row = wreath_character_row(table, lam)
-                rows.append([row.get(tau, ZERO) for tau in taus])
-            sizes = [type_class_size(group, tau) for tau in taus]
+            rows = [wreath_character_values(table, lam) for lam in lams]
             order = wreath_order(group, n)
+            sizes = [order // z for _k, z in wreath_columns(table, n)[1]]
             if sum(sizes) != order:
                 failures.append(f"{name}/n={n}: class sizes")
             for kind, i, j, _ in orthogonality_failures(rows, sizes, order):

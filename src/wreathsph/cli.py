@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", required=True, type=_positive_int)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--cap-elements", type=int, default=Caps.max_elements)
-        p.add_argument("--cap-classwork", type=int, default=Caps.max_classwork)
+        p.add_argument("--cap-elements", type=_positive_int, default=Caps.max_elements)
+        p.add_argument("--cap-classwork", type=_positive_int, default=Caps.max_classwork)
 
     p = sub.add_parser("validate", help="check group axioms and table orthogonality")
     add_io(p)
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except CapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (GroupError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (GroupError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
 

@@ -209,6 +209,8 @@ class CharacterTable:
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
         self._class_types = {}  # (class type, Z_tau) by packed key, for wreath rows
+        self._wreath_columns = {}  # wreath_columns results by degree
+        self._class_weights = {}  # chi(c)/zeta_c per class, by row, for _pushed_schur
         self._row_reads = {}  # wreath rows' read-outs (SymFuncElem.coefficients' memo)
         self._fusions = {}  # fuse_classes results by twist
         self._tensor_rows = {}  # conj_tensor_row results by (xi, chi)

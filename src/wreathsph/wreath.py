@@ -33,7 +33,7 @@ from .partitions import (
     sorted_multipartitions,
     strict_partitions,
 )
-from .symfunc import SymFuncElem, schur_p_expr, sym_character, unpack_key
+from .symfunc import SymFuncElem, pack_key, schur_p_expr, sym_character, unpack_key
 
 Perm = tuple[int, ...]
 
@@ -185,10 +185,6 @@ def type_centralizer_order(group: FiniteGroup, tau: MultiPartition) -> int:
     return out
 
 
-def type_class_size(group: FiniteGroup, tau: MultiPartition) -> int:
-    return wreath_order(group, tau.weight) // type_centralizer_order(group, tau)
-
-
 # -- irreducible characters ------------------------------------------------------
 
 
@@ -205,30 +201,67 @@ def wreath_dim(table: CharacterTable, lam: MultiPartition) -> int:
 
 def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncElem:
     """s_part pushed into the class alphabet by p_r(chi) -> sum_c chi(c)/zeta_c
-    p_r(c), memoized on the table."""
+    p_r(c), memoized on the table.  The weights chi(c)/zeta_c depend on
+    neither the part nor r, so they are formed once per (table, chi)."""
     key = (chi, part)
     image = table._schur_images.get(key)
     if image is None:
-        row, zc = table.rows[chi], table.group.centralizer_orders
+        weights = table._class_weights.get(chi)
+        if weights is None:
+            zc = table.group.centralizer_orders
+            weights = table._class_weights[chi] = [
+                v * Fraction(1, z) for v, z in zip(table.rows[chi], zc)
+            ]
         image = SymFuncElem.from_p_expr(("x",), 0, schur_p_expr(part)).change_alphabet(
-            lambda _a, c, _r: row[c] * Fraction(1, zc[c]), range(len(row))
+            lambda _a, c, _r: weights[c], range(len(weights))
         )
         table._schur_images[key] = image
     return image
 
 
-def wreath_character_row(
-    table: CharacterTable, lam: MultiPartition
-) -> dict[MultiPartition, CycNum]:
-    """Every nonzero value of the irreducible S(lam), keyed by class type, by
-    the characteristic map: chi^lam(tau) = Z_tau [P_tau] prod_chi s_lam(chi).
-    Each class type is decoded, with its Z_tau, and each distinct read-out
-    of (vector, denominator, Z_tau) reduced, once per table."""
-    group = table.group
-    image = SymFuncElem.one(range(len(group.classes)))
+def _character_image(table: CharacterTable, lam: MultiPartition) -> SymFuncElem:
+    """prod_chi s_lam(chi), pushed into the class alphabet."""
+    image = SymFuncElem.one(range(len(table.group.classes)))
     for chi, part in enumerate(lam):
         if part.size:
             image = image * _pushed_schur(table, chi, part)
+    return image
+
+
+def wreath_columns(
+    table: CharacterTable, n: int
+) -> tuple[tuple[MultiPartition, ...], list[tuple[int, int]]]:
+    """The class types of degree n, in multipartitions order, and per type
+    its (packed key, Z_tau): the columns of the full table, formed once per
+    (table, n)."""
+    cols = table._wreath_columns.get(n)
+    if cols is None:
+        group = table.group
+        taus = multipartitions(len(group.classes), n)
+        cols = table._wreath_columns[n] = (
+            taus, [(pack_key(tau), type_centralizer_order(group, tau)) for tau in taus]
+        )
+    return cols
+
+
+def wreath_character_values(table: CharacterTable, lam: MultiPartition) -> list[CycNum]:
+    """The irreducible S(lam) at every class type of its degree, aligned with
+    wreath_columns(table, lam.weight), by the characteristic map:
+    chi^lam(tau) = Z_tau [P_tau] prod_chi s_lam(chi).  Each distinct
+    read-out of (vector, denominator, Z_tau) is reduced once per table."""
+    _taus, cols = wreath_columns(table, lam.weight)
+    return _character_image(table, lam).coefficients(cols, table._row_reads)
+
+
+def wreath_character_row(
+    table: CharacterTable, lam: MultiPartition
+) -> dict[MultiPartition, CycNum]:
+    """Every nonzero value of the irreducible S(lam), keyed by class type:
+    the characteristic map of wreath_character_values, read at the image's
+    own keys only.  Each class type is decoded, with its Z_tau, and each
+    distinct read-out reduced, once per table."""
+    group = table.group
+    image = _character_image(table, lam)
     types = table._class_types
     keys = image.packed_keys()
     for k in keys:
@@ -257,20 +290,18 @@ def wreath_table_json(table: CharacterTable, n: int) -> dict:
     suitable for golden-file regression dumps."""
     group = table.group
     lams = multipartitions(len(table.rows), n)
-    taus = multipartitions(len(group.classes), n)
+    taus, cols = wreath_columns(table, n)
+    order = wreath_order(group, n)
     class_names = [f"C{i+1}" for i in range(len(group.classes))]
     return {
         "format": 1,
         "group": group.name,
         "n": n,
-        "order": wreath_order(group, n),
+        "order": order,
         "rows": [lam.to_json(table.names) for lam in lams],
         "classes": [tau.to_json(class_names) for tau in taus],
-        "class_sizes": [type_class_size(group, tau) for tau in taus],
-        "values": [
-            [str(row.get(tau, ZERO)) for tau in taus]
-            for row in (wreath_character_row(table, lam) for lam in lams)
-        ],
+        "class_sizes": [order // z for _k, z in cols],
+        "values": [[str(v) for v in wreath_character_values(table, lam)] for lam in lams],
     }
 
 

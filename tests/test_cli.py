@@ -224,12 +224,30 @@ def test_missing_file_is_data_error(capsys):
                  "--table", "/nonexistent2.json"]) == 1
 
 
+def test_directory_as_input_file_is_data_error(tmp_path, capsys):
+    # IsADirectoryError is an OSError other than FileNotFoundError
+    assert main(["validate", "--group", str(tmp_path), "--table", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_nonpositive_n_is_usage_error(capsys):
     g, t = paths("q8")
     for n in ("0", "-2"):
         with pytest.raises(SystemExit) as exc:
             main(["spherical", "--group", g, "--table", t, "--xi", "chi2",
                   "--pi", "triv", "--n", n])
+        assert exc.value.code == 2
+        assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cap-elements", "--cap-classwork"])
+def test_nonpositive_cap_is_usage_error(capsys, flag):
+    g, t = paths("q8")
+    for value in ("-1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spherical", "--group", g, "--table", t, "--xi", "chi2",
+                  "--pi", "triv", "--n", "1", flag, value])
         assert exc.value.code == 2
         assert "positive" in capsys.readouterr().err
 

@@ -1,8 +1,12 @@
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +57,6 @@ from wreathsph.wreath import (
     pi_value,
     theta_type_weights,
     type_centralizer_order,
-    type_class_size,
     w_embed,
     w_identity,
     w_inv,
@@ -62,6 +65,7 @@ from wreathsph.wreath import (
     wreath_character_row,
     wreath_dim,
     wreath_order,
+    wreath_table_json,
 )
 
 P = Partition
@@ -168,7 +172,7 @@ def test_class_sizes_sum():
     for name, n in (("c2", 3), ("c3", 2), ("q8", 2)):
         group, _ = bundled(name)
         total = sum(
-            type_class_size(group, tau)
+            wreath_order(group, n) // type_centralizer_order(group, tau)
             for tau in multipartitions(len(group.classes), n)
         )
         assert total == wreath_order(group, n)
@@ -773,16 +777,115 @@ def test_k_basis_trivial_twist_never_vanishes():
 
 
 def test_wreath_table_golden_files():
-    import json
-    from pathlib import Path
-
-    from wreathsph.wreath import wreath_table_json
-
     golden_dir = Path(__file__).parent / "golden"
     for name, n in (("c2", 2), ("c3", 2), ("q8", 2), ("gl2f3", 2), ("c4", 3)):
         group, table = bundled(name)
         payload = json.dumps(wreath_table_json(table, n), indent=2, sort_keys=True) + "\n"
         assert payload == (golden_dir / f"{name}_wr_s{n}_table.json").read_text()
+
+
+DUMP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dump_wreath_table.py"
+
+
+def run_dump_script(*args):
+    return subprocess.run(
+        [sys.executable, str(DUMP_SCRIPT), *args], capture_output=True, timeout=120
+    )
+
+
+def test_dump_script_reproduces_golden_tables():
+    golden_dir = Path(__file__).parent / "golden"
+    for name, n in (("c2", 2), ("c4", 3)):
+        proc = run_dump_script(name, str(n))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (golden_dir / f"{name}_wr_s{n}_table.json").read_bytes()
+
+
+@pytest.mark.parametrize("args", [("c2", "x"), ("c2", "1.5"), ("c2", "-1"), ("zz", "2"), ("c2",)])
+def test_dump_script_bad_arguments_are_usage_errors(args):
+    proc = run_dump_script(*args)
+    assert proc.returncode == 2
+    assert b"Usage:" in proc.stderr and b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+def fresh_pair(name):
+    """A bundled group and table loaded anew, with empty memos."""
+    group = load_group(bundled_group_path(name))
+    return group, load_table(bundled_table_path(name), group)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_wreath_table_json_matches_dict_rows(name):
+    # the column-aligned full table equals the one read cell by cell from
+    # the dict rows of a separately loaded table, class sizes from Z_tau
+    group, table = fresh_pair(name)
+    _, ref_table = fresh_pair(name)
+    for n in range(1, 3 if name == "gl2f3" else 4):
+        taus = multipartitions(len(group.classes), n)
+        order = wreath_order(group, n)
+        got = wreath_table_json(table, n)
+        assert got["class_sizes"] == [
+            order // type_centralizer_order(group, tau) for tau in taus
+        ]
+        assert got["values"] == [
+            [str(row.get(tau, ZERO)) for tau in taus]
+            for row in (
+                wreath_character_row(ref_table, lam)
+                for lam in multipartitions(len(table.rows), n)
+            )
+        ], n
+
+
+def test_full_tables_form_columns_and_weights_once(monkeypatch):
+    # across repeated full tables of degrees 1 to 3, each column's packed
+    # key and Z_tau are formed once per (table, degree), and each chi(c) is
+    # read once per table, so each weight chi(c)/zeta_c is formed once
+    import wreathsph.wreath as wreath
+    from wreathsph.symfunc import pack_key
+
+    group, table = fresh_pair("q8")
+    packed, centralized = Counter(), Counter()
+    z_order = wreath.type_centralizer_order
+
+    def packing(tau):
+        packed[tau] += 1
+        return pack_key(tau)
+
+    def centralizing(group, tau):
+        centralized[tau] += 1
+        return z_order(group, tau)
+
+    reads = Counter()
+
+    class CountedRow:
+        def __init__(self, chi, values):
+            self.chi, self.values = chi, values
+
+        def __len__(self):
+            return len(self.values)
+
+        def __getitem__(self, c):
+            reads[self.chi, c] += 1
+            return self.values[c]
+
+        def __iter__(self):
+            return (self[c] for c in range(len(self)))
+
+    want = [wreath_table_json(fresh_pair("q8")[1], n) for n in (1, 2, 3)]
+    monkeypatch.setattr(wreath, "pack_key", packing, raising=False)
+    monkeypatch.setattr(wreath, "type_centralizer_order", centralizing)
+    monkeypatch.setattr(
+        table, "rows", tuple(CountedRow(chi, row) for chi, row in enumerate(table.rows))
+    )
+    for _ in range(2):
+        assert [wreath_table_json(table, n) for n in (1, 2, 3)] == want
+    columns = Counter(tau for n in (1, 2, 3) for tau in multipartitions(len(group.classes), n))
+    assert packed == columns
+    assert centralized == columns
+    assert reads == Counter(
+        {(chi, c): 1 for chi in range(len(table.rows)) for c in range(len(group.classes))}
+    )
 
 
 def test_paired_characters_are_distinct_at_degree_two():
