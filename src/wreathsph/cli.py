@@ -47,9 +47,12 @@ EXIT_CAP = 3
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 

@@ -55,8 +55,8 @@ from .wreath import (
     conj_theta_table,
     coset_label_set,
     coset_rep,
+    coset_stabilizer,
     cycle_type,
-    double_coset,
     epsilon_sign,
     hg_elements,
     hyperoct_perms,
@@ -70,7 +70,6 @@ from .wreath import (
     perm_of_partition,
     w_identity,
     wreath_character,
-    wreath_order,
 )
 
 
@@ -131,10 +130,6 @@ class SphericalContext:
     @cached_property
     def hg_size(self) -> int:
         return k_order(self.group, self.n)
-
-    @cached_property
-    def big_order(self) -> int:
-        return wreath_order(self.group, 2 * self.n)
 
     def nu(self, chi: int) -> int:
         return self.fusion.nu[chi]
@@ -330,10 +325,10 @@ def coset_order(ctx: SphericalContext, rho: MultiPartition) -> int:
 
 
 def coset_order_brute(ctx: SphericalContext, rho: MultiPartition) -> int:
-    if ctx.big_order > ctx.caps.max_elements:
-        raise CapExceeded("cap-elements", ctx.caps.max_elements, ctx.big_order)
+    """|K x K| by orbit-stabilizer, walking K once; refuses K over the
+    element cap."""
     hg = hg_elements(ctx.group, ctx.n, ctx.caps)
-    return len(double_coset(ctx.group, hg, ctx.rep(rho)))
+    return ctx.hg_size**2 // len(coset_stabilizer(ctx.group, hg, ctx.rep(rho)))
 
 
 # -- characteristic map ------------------------------------------------------------------

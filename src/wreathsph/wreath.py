@@ -19,7 +19,6 @@ from .groups import (
     ClassFusion,
     FiniteGroup,
     GroupError,
-    fuse_classes,
 )
 from .partitions import (
     EMPTY,
@@ -702,32 +701,17 @@ def decompose_induced(
 # -- Hecke algebra basics ------------------------------------------------------------
 
 
-def double_coset(
+def coset_stabilizer(
     group: FiniteGroup, hg: list[WreathElement], x: WreathElement
-) -> frozenset[WreathElement]:
-    left = {w_mul(group, h, x) for h in hg}
-    return frozenset(w_mul(group, y, h) for y in left for h in hg)
-
-
-def k_basis_sg2(
-    group: FiniteGroup, table: CharacterTable, xi: int, eps_sign: int
-) -> dict[int, tuple[bool, CycNum]]:
-    """For each merged class R, whether the averaged double-coset element at
-    (1, g_R : id) vanishes, and the coefficient of (1, g_R : id) in it.  The
-    average weighs each product a b by theta(a b), without conjugation."""
-    hg = hg_elements(group, 1)
-    theta = PairedChar(table, xi, "triv" if eps_sign == 1 else "delta", 1)
-    theta_at = {h: theta.value(h) for h in hg}
-    out: dict[int, tuple[bool, CycNum]] = {}
-    fusion = fuse_classes(group, table, xi)
-    for i, m in enumerate(fusion.merged):
-        center = WreathElement((0, m.rep_element), p_identity(2))
-        combo: dict[WreathElement, CycNum] = {}
-        for a in hg:
-            xa = w_mul(group, a, center)
-            for b in hg:
-                key = w_mul(group, xa, b)
-                combo[key] = combo.get(key, ZERO) + theta_at[w_mul(group, a, b)]
-        combo = {k: v for k, v in combo.items() if v}
-        out[i] = (not combo, combo.get(center, ZERO))
-    return out
+) -> list[tuple[WreathElement, WreathElement]]:
+    """The pairs (h, k) of K x K with h x k = x, i.e. k = x^-1 h^-1 x, over
+    the h of K n xKx^-1; hg is K as hg_elements lists it.  By orbit-stabilizer
+    |KxK| = |K|^2 / len(pairs)."""
+    members = set(hg)
+    xinv = w_inv(group, x)
+    pairs = []
+    for h in hg:
+        k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
+        if k in members:
+            pairs.append((h, k))
+    return pairs

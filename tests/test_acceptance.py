@@ -12,7 +12,9 @@ factorization at the shifted representatives") carries the analysis.
 
 import pytest
 
+from wreathsph import acceptance
 from wreathsph.acceptance import ALL_CRITERIA
+from wreathsph.partitions import multipartitions
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -21,3 +23,28 @@ def test_criterion(number):
     print()
     print(result.line())
     assert result.ok, result.line()
+
+
+def test_criterion_5_names_a_dropped_or_added_label(monkeypatch):
+    """Criterion 5 fails, naming the label, when the predicted label set of
+    one configuration loses a legal label or gains an illegal one."""
+    real = acceptance.coset_label_set
+    for drop in (True, False):
+        edited = []
+
+        def coset_label_set(table, fusion, xi, sign, n):
+            labels = list(real(table, fusion, xi, sign, n))
+            illegal = [r for r in multipartitions(len(fusion.merged), n) if r not in labels]
+            if edited:
+                return tuple(labels)
+            if drop and labels:
+                edited.append(labels.pop(0))
+            elif not drop and illegal:
+                edited.append(illegal[0])
+                labels.append(illegal[0])
+            return tuple(labels)
+
+        monkeypatch.setattr(acceptance, "coset_label_set", coset_label_set)
+        result = acceptance.criterion_5()
+        assert len(edited) == 1 and not result.ok
+        assert f": {edited[0]}" in result.detail

@@ -233,23 +233,27 @@ def test_directory_as_input_file_is_data_error(tmp_path, capsys):
 
 def test_nonpositive_n_is_usage_error(capsys):
     g, t = paths("q8")
-    for n in ("0", "-2"):
+    for n in ("0", "-2", "x", "1.5"):
         with pytest.raises(SystemExit) as exc:
             main(["spherical", "--group", g, "--table", t, "--xi", "chi2",
                   "--pi", "triv", "--n", n])
         assert exc.value.code == 2
-        assert "positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"must be a positive integer, got '{n}'" in err
+        assert "_positive_int" not in err
 
 
 @pytest.mark.parametrize("flag", ["--cap-elements", "--cap-classwork"])
 def test_nonpositive_cap_is_usage_error(capsys, flag):
     g, t = paths("q8")
-    for value in ("-1", "0"):
+    for value in ("-1", "0", "x", "1.5"):
         with pytest.raises(SystemExit) as exc:
             main(["spherical", "--group", g, "--table", t, "--xi", "chi2",
                   "--pi", "triv", "--n", "1", flag, value])
         assert exc.value.code == 2
-        assert "positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"must be a positive integer, got '{value}'" in err
+        assert "_positive_int" not in err
 
 
 def test_brute_classwork_cap_counts_passes_over_k(capsys):

@@ -2,7 +2,8 @@
 and class defined in src/wreathsph is named somewhere in src/, scripts/ or
 perfbench/ other than on its own def or class line, and every public
 method of a class body is reached there through an attribute access
-`.name`, so that a function or local of the same name does not count."""
+`.name`, so that a function or local of the same name does not count.
+Every name a module of src/wreathsph imports is used in that module."""
 
 import ast
 import re
@@ -42,4 +43,25 @@ def test_every_public_name_is_used_outside_the_tests():
         own = re.compile(rf"^\s*(def|class)\s+{name}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
+    assert unused == []
+
+
+# Bindings kept for perfbench/test_tracing.py, which asserts that a call
+# through each of them is counted.
+TRACED_BINDINGS = {("spherical", "class_type"), ("acceptance", "wreath_character")}
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.stem, name) not in TRACED_BINDINGS:
+                        unused.append(f"{path.stem}.{name}")
     assert unused == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wreathsph.cyclo import CycNum, ONE, ZERO
-from wreathsph.groups import GroupError, bundled, fuse_classes
+from wreathsph.groups import CapExceeded, Caps, GroupError, bundled, fuse_classes
 from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
 from wreathsph.spherical import (
     SphericalContext,
@@ -165,6 +165,12 @@ def test_delta_pair_spherical():
                     assert brute == delta_pair_spherical(table, eta, chi, x, y)
 
 
+def reference_double_coset(group, hg, x):
+    """KxK enumerated as a set of |K|^2 products."""
+    left = {w_mul(group, h, x) for h in hg}
+    return frozenset(w_mul(group, y, h) for y in left for h in hg)
+
+
 def test_coset_orders():
     for name, n in (("c2", 1), ("c4", 1), ("q8", 1), ("c2", 2)):
         ctx = ctx_of(name, 0, "triv", n)
@@ -179,6 +185,24 @@ def test_coset_orders():
             [P((1,) * n) if i == 0 else P() for i in range(len(ctx.fusion.merged))]
         )
         assert coset_order(ctx, ident) == ctx.hg_size
+    # orbit-stabilizer against the orbit itself
+    for name, n in (("c2", 1), ("c2", 2), ("q8", 1), ("gl2f3", 1)):
+        ctx = ctx_of(name, 0, "triv", n)
+        hg = hg_elements(ctx.group, n)
+        for rho in multipartitions(len(ctx.fusion.merged), n):
+            orbit = reference_double_coset(ctx.group, hg, ctx.rep(rho))
+            assert coset_order_brute(ctx, rho) == len(orbit), (name, n, rho)
+
+
+def test_coset_order_brute_refuses_k_over_the_element_cap():
+    group, table = bundled("c2")
+    ctx = SphericalContext(group, table, 0, "triv", 2, Caps(max_elements=31))
+    rho = multipartitions(len(ctx.fusion.merged), 2)[0]
+    with pytest.raises(CapExceeded) as exc:
+        coset_order_brute(ctx, rho)
+    assert exc.value.cap_name == "cap-elements" and exc.value.actual == 32
+    ctx = SphericalContext(group, table, 0, "triv", 2, Caps(max_elements=32))
+    assert coset_order_brute(ctx, rho) == coset_order(ctx, rho)
 
 
 def test_ch_map_unit_and_radical():

@@ -37,15 +37,14 @@ from wreathsph.wreath import (
     conj_theta_table,
     coset_label_set,
     coset_rep,
+    coset_stabilizer,
     cycle_type,
     decompose_induced,
-    double_coset,
     epsilon_sign,
     hg_elements,
     hyperoct_perms,
     hyperoct_pi,
     irrep_label_set,
-    k_basis_sg2,
     k_type_weights,
     p_compose,
     p_from_transpositions,
@@ -353,15 +352,16 @@ def test_coset_rep_identity_pattern():
     assert tuple(v + 1 for v in x.perm) == (2, 1, 4, 3, 6, 5)
 
 
-def test_double_coset_of_inverse_is_same():
+def test_coset_stabilizer_of_inverse_has_same_size():
+    # K x^-1 K is the inverse of KxK, so both have the same size
     for name, n in (("c2", 2), ("q8", 1)):
         group, table = bundled(name)
         hg = hg_elements(group, n)
         for _ in range(6):
             x = random_element(group, 2 * n)
-            assert double_coset(group, hg, x) == double_coset(
-                group, hg, w_inv(group, x)
-            )
+            pairs = coset_stabilizer(group, hg, x)
+            assert all(w_mul(group, w_mul(group, h, x), k) == x for h, k in pairs)
+            assert len(pairs) == len(coset_stabilizer(group, hg, w_inv(group, x)))
 
 
 def test_explicit_involution_identities():
@@ -765,15 +765,21 @@ def test_hecke_vanishing_small():
                 assert bool(v) == (rho in legal)
 
 
-def test_k_basis_trivial_twist_never_vanishes():
+def test_trivial_twist_stabilizer_sums_never_vanish():
+    # at n = 1 the sum is |K n xKx^-1| = |K|^2 / |KxK|: 2 zeta_c at a real
+    # merged class c, zeta_c at a complex one
     group, table = bundled("q8")
-    kb = k_basis_sg2(group, table, 0, 1)
-    assert not any(z for z, _ in kb.values())
     fus = fuse_classes(group, table, 0)
-    for i, (z, coef) in kb.items():
-        m = fus.merged[i]
+    hg = hg_elements(group, 1)
+    theta = PairedChar(table, 0, "triv", 1)
+    for i, m in enumerate(fus.merged):
+        rho = MultiPartition([P((1,)) if j == i else P() for j in range(len(fus.merged))])
+        pairs = coset_stabilizer(group, hg, coset_rep(group, fus, rho))
+        tot = sum_products(
+            (theta.value(h).conjugate(), theta.value(k).conjugate(), 1) for h, k in pairs
+        )
         zc = group.centralizer_orders[m.classes[0]]
-        assert coef == CycNum.rational(2 * zc if m.real else zc)
+        assert tot == CycNum.rational(2 * zc if m.real else zc)
 
 
 def test_wreath_table_golden_files():
