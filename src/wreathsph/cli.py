@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .acceptance import ALL_CRITERIA, run_criteria
 from .groups import (
     Caps,
     CapExceeded,
@@ -187,6 +186,9 @@ def cmd_reconcile(args) -> int:
 
 
 def _criterion_numbers(text: str) -> list[int]:
+    # the acceptance suite is loaded by selftest alone, not by every command
+    from .acceptance import ALL_CRITERIA
+
     numbers = [int(v) if v.strip().isdigit() else 0 for v in text.split(",")]
     if not all(1 <= v <= len(ALL_CRITERIA) for v in numbers):
         raise argparse.ArgumentTypeError(f"criteria are numbered 1 to {len(ALL_CRITERIA)}")
@@ -194,6 +196,8 @@ def _criterion_numbers(text: str) -> list[int]:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_criteria
+
     results = run_criteria(args.criteria)
     for r in results:
         print(r.line())

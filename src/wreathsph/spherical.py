@@ -18,9 +18,11 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from math import factorial
 from pathlib import Path
 
@@ -462,8 +464,56 @@ def spherical_from_symfunc(ctx: SphericalContext, lam: MultiPartition) -> list[C
 
 def canonical_json(obj) -> str:
     """The one JSON text form of every table, report and CLI object: sorted
-    keys, two-space indent, a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    keys, two-space indent, a final newline.  The bytes are those of the
+    json module with indent 2 and sort_keys, plus the newline; with an
+    indent set, json runs its pure-Python encoder, so this writer does not
+    call it for containers.  Dict keys must be str."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj's indented JSON text, its nested lines starting at newline + two
+    spaces; a list of strings is quoted and joined by json's C quoter."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, str) for v in obj):
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)
+
+
+class TableCells(Mapping):
+    """A table's values keyed by (row, column), in row-major order: a
+    read-only view over its row grid that holds no entry per cell."""
+
+    def __init__(self, grid: list[list[CycNum]], ncols: int):
+        self.grid, self.ncols = grid, ncols
+
+    def __getitem__(self, cell: tuple[int, int]) -> CycNum:
+        i, j = cell
+        if 0 <= i < len(self.grid) and 0 <= j < self.ncols:
+            return self.grid[i][j]
+        raise KeyError(cell)
+
+    def __len__(self) -> int:
+        return len(self.grid) * self.ncols
+
+    def __iter__(self):
+        return ((i, j) for i in range(len(self.grid)) for j in range(self.ncols))
 
 
 @dataclass
@@ -476,11 +526,15 @@ class SphericalTable:
     merged_names: tuple[str, ...]
     rows: tuple[MultiPartition, ...]
     cols: tuple[MultiPartition, ...]
-    values: dict[tuple[int, int], CycNum]
+    grid: list[list[CycNum]]  # one list of values per row, aligned with cols
     engine: str
 
+    @property
+    def values(self) -> TableCells:
+        return TableCells(self.grid, len(self.cols))
+
     def value(self, i: int, j: int) -> CycNum:
-        return self.values[(i, j)]
+        return self.grid[i][j]
 
     def row_label_json(self, i: int) -> dict:
         return self.rows[i].to_json(self.char_names)
@@ -497,11 +551,8 @@ class SphericalTable:
             "n": self.n,
             "rows": [self.row_label_json(i) for i in range(len(self.rows))],
             "cols": [self.col_label_json(j) for j in range(len(self.cols))],
-            "values": [
-                [str(self.values[(i, j)]) for j in range(len(self.cols))]
-                for i in range(len(self.rows))
-            ],
-            "engines": [[self.engine] * len(self.cols) for _ in self.rows],
+            "values": [[str(v) for v in row] for row in self.grid],
+            "engines": [[self.engine] * len(self.cols)] * len(self.rows),
         }
 
     def to_json(self) -> str:
@@ -528,29 +579,24 @@ def table_csv(obj: dict) -> str:
 
 def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
     """Compute the full table of spherical values with the requested engine."""
-    values: dict[tuple[int, int], CycNum] = {}
     if engine not in ("brute", "closed", "symfunc"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "brute":
         ctx.check_brute_work()
-    for i, lam in enumerate(ctx.rows):
+    grid = []
+    for lam in ctx.rows:
         if engine == "brute":
             one = ctx.brute_at_element(lam, w_identity(2 * ctx.n))
             if one != ONE:
                 raise GroupError(f"normalization failed at {lam}: value {one} at 1")
-        sym_vals = spherical_from_symfunc(ctx, lam) if engine == "symfunc" else None
-        for j, rho in enumerate(ctx.cols):
-            if engine == "brute":
-                values[(i, j)] = ctx.brute(lam, rho)
-            elif engine == "closed":
-                v = spherical_closed(ctx, lam, rho)
-                if v is None:
-                    raise GroupError(
-                        f"no closed form for the mixed label {lam}; use brute"
-                    )
-                values[(i, j)] = v
-            else:
-                values[(i, j)] = sym_vals[j]
+            row = [ctx.brute(lam, rho) for rho in ctx.cols]
+        elif engine == "closed":
+            row = [spherical_closed(ctx, lam, rho) for rho in ctx.cols]
+            if any(v is None for v in row):
+                raise GroupError(f"no closed form for the mixed label {lam}; use brute")
+        else:
+            row = spherical_from_symfunc(ctx, lam)
+        grid.append(row)
     return SphericalTable(
         ctx.group.name,
         ctx.table.names[ctx.xi],
@@ -560,7 +606,7 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
         ctx.merged_names,
         ctx.rows,
         ctx.cols,
-        values,
+        grid,
         engine,
     )
 

@@ -292,15 +292,37 @@ def test_cache_key_names_version_and_format(tmp_path, capsys):
     assert len(list(cache.iterdir())) == 2
 
 
-def test_python_dash_m_runs_the_command_line():
+def run_python(*args):
+    """A fresh interpreter with the package on its path."""
     import wreathsph
 
     env = dict(os.environ)
     src = str(Path(wreathsph.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wreathsph", "selftest", "--criteria", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = run_python("-m", "wreathsph", "selftest", "--criteria", "1")
     assert proc.returncode == 0, proc.stderr
     assert "criterion  1 [PASS]" in proc.stdout
+
+
+def test_only_selftest_loads_the_acceptance_suite():
+    loaded = "print('acceptance loaded:', 'wreathsph.acceptance' in sys.modules)"
+    proc = run_python("-c", "\n".join([
+        "import sys",
+        "from wreathsph.cli import main",
+        "from wreathsph.groups import bundled_group_path, bundled_table_path",
+        loaded,
+        "main(['nu2', '--group', str(bundled_group_path('c2')),"
+        " '--table', str(bundled_table_path('c2'))])",
+        loaded,
+        "main(['selftest', '--criteria', '1'])",
+        loaded,
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    flags = [line for line in proc.stdout.splitlines() if line.startswith("acceptance")]
+    assert flags == [f"acceptance loaded: {v}" for v in ("False", "False", "True")]

@@ -1,7 +1,12 @@
+import json
 import random
+import tracemalloc
+from collections.abc import Mapping
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathsph.cyclo import CycNum, ONE, ZERO
 from wreathsph.groups import CapExceeded, Caps, GroupError, bundled, fuse_classes
@@ -12,6 +17,7 @@ from wreathsph.spherical import (
     cache_key,
     cache_load,
     cache_store,
+    canonical_json,
     ch_image_product,
     ch_map,
     classical_spherical,
@@ -495,6 +501,28 @@ def test_engines_agree_in_build_table():
     assert brute.engine == "brute"
 
 
+@pytest.mark.parametrize("engine", ["brute", "closed", "symfunc"])
+def test_values_is_a_row_major_mapping_over_the_grid(engine):
+    # one entry per cell, keyed (i, j) in row-major order, read from the
+    # row grid; perfbench counts cells as len(tab.values)
+    ctx = ctx_of("c2", 1, "iota", 3)
+    tab = build_table(ctx, engine)
+    values, rows, cols = tab.values, len(ctx.rows), len(ctx.cols)
+    assert isinstance(values, Mapping) and not isinstance(values, dict)
+    assert len(values) == rows * cols == 9
+    assert list(values) == [(i, j) for i in range(rows) for j in range(cols)]
+    for (i, j), v in values.items():
+        assert v is values[(i, j)] is tab.value(i, j) is tab.grid[i][j]
+    for outside in [(rows, 0), (0, cols), (-1, 0), (0, -1)]:
+        assert outside not in values and values.get(outside) is None
+    with pytest.raises(TypeError):
+        values[(0, 0)] = ZERO
+    brute = build_table(ctx, "brute")
+    assert values == brute.values and values == dict(brute.values.items())
+    brute.grid[rows - 1][cols - 1] += ONE
+    assert values != brute.values and values != dict(brute.values.items())
+
+
 def test_table_serialization_deterministic(tmp_path):
     ctx = ctx_of("c2", 1, "triv", 2)
     tab = build_table(ctx, "brute")
@@ -506,6 +534,66 @@ def test_table_serialization_deterministic(tmp_path):
     assert cache_load(tmp_path, key) == payload
     csv = tab.to_csv()
     assert csv.splitlines()[0].startswith("label,")
+
+
+def test_cache_load_accepts_a_payload_of_the_stdlib_encoder(tmp_path):
+    # entries written when canonical_json was json.dumps stay cache hits
+    tab = build_table(ctx_of("q8", 1, "iota", 1), "symfunc")
+    stdlib = json.dumps(tab.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    assert stdlib == tab.to_json()
+    cache_store(tmp_path, "entry", stdlib)
+    assert cache_load(tmp_path, "entry") == stdlib
+
+
+_TRICKY_CHARS = list('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\u20ac\ud800\U0001f600')
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from(_TRICKY_CHARS), st.characters(exclude_categories=())),
+    max_size=12,
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers().map(lambda k: k * 10**30),
+    _JSON_TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(_JSON_TEXT),
+        st.dictionaries(_JSON_TEXT, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+def test_canonical_json_is_the_stdlib_text(obj):
+    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_json_of_empty_and_nested_containers():
+    obj = {"b": [], "a": {}, "c": ([], {}, [[]], ["x", 1], ("y",)), "": [None, True, -2]}
+    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert canonical_json([]) == "[]\n" and canonical_json({}) == "{}\n"
+    with pytest.raises(TypeError):
+        canonical_json({1: "non-str key"})
+    with pytest.raises(TypeError):
+        canonical_json([Fraction(1, 2)])
+
+
+def test_to_json_peak_memory_stays_under_four_times_its_text():
+    # the table's text is written by joins over its rows, not by json's
+    # pure-Python encoder (about 7x the text at this size)
+    tab = build_table(ctx_of("gl2f3", 1, "triv", 2), "symfunc")
+    tracemalloc.start()
+    try:
+        text = tab.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 20_000
+    assert peak < 4 * len(text)
 
 
 @pytest.mark.parametrize(
