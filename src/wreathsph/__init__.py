@@ -9,6 +9,7 @@ from importlib import import_module
 _EXPORTS = {
     "cyclo": ("CycNum", "cyc", "parse_cyc", "zeta"),
     "groups": (
+        "Caps",
         "CharacterTable",
         "ClassFusion",
         "FiniteGroup",
@@ -22,7 +23,6 @@ _EXPORTS = {
     ),
     "partitions": ("MultiPartition", "Partition", "doubling", "multipartitions", "partitions_of"),
     "spherical": (
-        "Caps",
         "SphericalContext",
         "SphericalTable",
         "build_table",

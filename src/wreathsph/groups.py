@@ -208,7 +208,6 @@ class CharacterTable:
         self.degrees = tuple(row[self.group.class_of[0]].as_int() for row in self.rows)
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
-        self._class_types = {}  # (class type, Z_tau) by packed key, for wreath rows
         self._wreath_columns = {}  # wreath_columns results by degree
         self._class_weights = {}  # chi(c)/zeta_c per class, by row, for _pushed_schur
         self._row_reads = {}  # wreath rows' read-outs (SymFuncElem.coefficients' memo)
@@ -301,8 +300,9 @@ def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTa
         group.name, "chars", "a list of rows of strings, one per class",
     )
     if "names" in obj:
-        _require(_list_of(obj["names"], str) and len(obj["names"]) == len(chars),
-                 group.name, "names", "a list of strings, one per row")
+        names = obj["names"]
+        _require(_list_of(names, str) and len(set(names)) == len(names) == len(chars),
+                 group.name, "names", "a list of distinct strings, one per row")
     reps = tuple(classes)
     if reps != group.class_reps:
         raise GroupError(

@@ -496,13 +496,8 @@ class SymFuncElem:
     def __bool__(self) -> bool:
         return bool(self._cycs())
 
-    def coefficient(self, key: MultiPartition | int, scale: Fraction | int = 1) -> CycNum:
-        """The coefficient of a key, given as a multipartition or packed,
-        times a rational scale."""
-        if not isinstance(key, int):
-            if len(key) != len(self.alphabet):
-                raise ValueError("key does not match alphabet size")
-            key = pack_key(key)
+    def coefficient(self, key: int, scale: Fraction | int = 1) -> CycNum:
+        """The coefficient of a packed key, times a rational scale."""
         vec = self._vecs.get(key)
         if vec is None:
             return ZERO
@@ -510,11 +505,6 @@ class SymFuncElem:
         if num != 1:
             vec = [x * num for x in vec]
         return vector_cyc(vec, self._den * scale.denominator)
-
-    def packed_keys(self) -> list[int]:
-        """The packed keys of the stored terms, in storage order; a key's
-        coefficient may still be zero mod Phi_N."""
-        return list(self._vecs)
 
     def coefficients(
         self, cols: list[tuple[int, Fraction | int]], seen: dict

@@ -11,7 +11,7 @@ from functools import cache
 from itertools import permutations, product as iproduct
 from math import factorial
 
-from .cyclo import CycNum, ONE, ZERO, sum_products
+from .cyclo import CycNum, ONE, sum_products
 from .groups import (
     Caps,
     CapExceeded,
@@ -32,7 +32,7 @@ from .partitions import (
     sorted_multipartitions,
     strict_partitions,
 )
-from .symfunc import SymFuncElem, pack_key, schur_p_expr, sym_character, unpack_key
+from .symfunc import SymFuncElem, pack_key, schur_p_expr, sym_character
 
 Perm = tuple[int, ...]
 
@@ -252,36 +252,18 @@ def wreath_character_values(table: CharacterTable, lam: MultiPartition) -> list[
     return _character_image(table, lam).coefficients(cols, table._row_reads)
 
 
-def wreath_character_row(
-    table: CharacterTable, lam: MultiPartition
-) -> dict[MultiPartition, CycNum]:
-    """Every nonzero value of the irreducible S(lam), keyed by class type:
-    the characteristic map of wreath_character_values, read at the image's
-    own keys only.  Each class type is decoded, with its Z_tau, and each
-    distinct read-out reduced, once per table."""
-    group = table.group
-    image = _character_image(table, lam)
-    types = table._class_types
-    keys = image.packed_keys()
-    for k in keys:
-        if k not in types:
-            tau = unpack_key(k, len(group.classes))
-            types[k] = (tau, type_centralizer_order(group, tau))
-    values = image.coefficients([(k, types[k][1]) for k in keys], table._row_reads)
-    return {types[k][0]: v for k, v in zip(keys, values) if v}
-
-
 def wreath_character(
     table: CharacterTable, lam: MultiPartition, tau: MultiPartition
 ) -> CycNum:
     """Character of the irreducible S(lam) at the class of type tau, read
-    from the row memoized on the table."""
+    from the row wreath_character_values gives, memoized on the table."""
     if lam.weight != tau.weight:
         raise ValueError("weight mismatch between label and class type")
     row = table._wreath_cache.get(lam)
     if row is None:
-        row = table._wreath_cache[lam] = wreath_character_row(table, lam)
-    return row.get(tau, ZERO)
+        taus, _cols = wreath_columns(table, lam.weight)
+        row = table._wreath_cache[lam] = dict(zip(taus, wreath_character_values(table, lam)))
+    return row[tau]
 
 
 def wreath_table_json(table: CharacterTable, n: int) -> dict:

@@ -206,6 +206,7 @@ def test_selftest_rejects_unknown_criteria(capsys):
         ("table", {"classes": [0, 1], "chars": [[1]]}),
         ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1"]]}),
         ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1", "-1"]], "names": ["a"]}),
+        ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1", "-1"]], "names": ["a", "a"]}),
     ],
 )
 def test_malformed_input_is_data_error(tmp_path, capsys, kind, payload):

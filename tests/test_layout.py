@@ -3,11 +3,14 @@ and class defined in src/wreathsph is named somewhere in src/, scripts/ or
 perfbench/ other than on its own def or class line, and every public
 method of a class body is reached there through an attribute access
 `.name`, so that a function or local of the same name does not count.
-Every name a module of src/wreathsph imports is used in that module."""
+Every name a module of src/wreathsph imports is used in that module, and
+every name the package exports is defined in the module it is read from."""
 
 import ast
 import re
 from pathlib import Path
+
+from wreathsph import _EXPORTS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wreathsph"
@@ -65,3 +68,16 @@ def test_every_imported_name_is_used_in_its_module():
                     if name not in used and (path.stem, name) not in TRACED_BINDINGS:
                         unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_every_export_is_defined_in_its_module():
+    misplaced = []
+    for module, names in sorted(_EXPORTS.items()):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        defined = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        misplaced += [f"{module}.{name}" for name in names if name not in defined]
+    assert misplaced == []

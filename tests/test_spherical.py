@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathsph.cyclo import CycNum, ONE, ZERO
-from wreathsph.groups import CapExceeded, Caps, GroupError, bundled, fuse_classes
+from wreathsph.groups import (
+    CapExceeded,
+    Caps,
+    GroupError,
+    bundled,
+    bundled_names,
+    fuse_classes,
+    linear_characters,
+)
 from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
 from wreathsph.spherical import (
     SphericalContext,
@@ -30,6 +38,7 @@ from wreathsph.spherical import (
 )
 from wreathsph.symfunc import SymFuncElem, sym_character
 from wreathsph.wreath import (
+    PI_NAMES,
     WreathElement,
     cycle_type,
     hg_elements,
@@ -308,6 +317,30 @@ def test_symfunc_engine_matches_brute():
             assert len(vals) == len(ctx.cols)
             for rho, v in zip(ctx.cols, vals):
                 assert v == ctx.brute(lam, rho)
+
+
+def bundled_configurations():
+    """Every bundled (group, xi, pi, n) with xi linear and n <= 2, gl2f3 at
+    n = 1 only."""
+    out = []
+    for name in bundled_names():
+        _, table = bundled(name)
+        for n in (1,) if name == "gl2f3" else (1, 2):
+            out += [(name, xi, pi, n) for xi in linear_characters(table) for pi in PI_NAMES]
+    return out
+
+
+@given(st.sampled_from(bundled_configurations()))
+@settings(max_examples=80, derandomize=True, deadline=timedelta(seconds=5))
+def test_brute_equals_symfunc_on_bundled_configurations(config):
+    # the ground truth, read through wreath_character, against the
+    # characteristic-map engine, cell by cell, and omega(1) = 1
+    ctx = ctx_of(*config)
+    brute, sym = build_table(ctx, "brute"), build_table(ctx, "symfunc")
+    for cell, value in brute.values.items():
+        assert sym.values[cell] == value, (config, cell)
+    for lam in ctx.rows:
+        assert ctx.brute_at_element(lam, w_identity(2 * ctx.n)) == ONE
 
 
 def test_reconcile_extra_configurations():

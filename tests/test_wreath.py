@@ -61,7 +61,6 @@ from wreathsph.wreath import (
     w_inv,
     w_mul,
     wreath_character,
-    wreath_character_row,
     wreath_dim,
     wreath_order,
     wreath_table_json,
@@ -629,19 +628,16 @@ def test_decompose_inverse_map_matches_forward_rows(name):
     n = 2
     group, table = bundled(name)
     hg_size = group.order**n * 2**n * factorial(n)
-    rows = {
-        lam: wreath_character_row(table, lam)
-        for lam in multipartitions(len(table.rows), 2 * n)
-    }
+    lams = multipartitions(len(table.rows), 2 * n)
     for xi in linear_characters(table):
         for pi in ("triv", "delta", "iota", "delta-iota"):
             theta = PairedChar(table, xi, pi, n)
             weights = theta_type_weights(theta)
             direct = {}
-            for lam, row in rows.items():
+            for lam in lams:
                 tot = sum_products(
-                    (row[tau], w, Fraction(1, hg_size))
-                    for tau, w in weights.items() if tau in row
+                    (wreath_character(table, lam, tau), w, Fraction(1, hg_size))
+                    for tau, w in weights.items()
                 )
                 if tot:
                     direct[lam] = tot.as_int()
@@ -650,9 +646,10 @@ def test_decompose_inverse_map_matches_forward_rows(name):
 
 @pytest.mark.parametrize("name, n", [("c4", 4), ("q8", 3)])
 def test_wreath_rows_read_out_once_per_table(monkeypatch, name, n):
-    # every class type is decoded once and every distinct read-out (image
-    # vector, its denominator, Z_tau) reduced once per table, rows sharing
-    # one object per read-out; the values are Z_tau times the image's terms
+    # every distinct read-out (image vector, its denominator, Z_tau) is
+    # reduced once per table, rows sharing one object per read-out, and a
+    # repeated read reduces nothing; the values are Z_tau times the image's
+    # terms
     import json
 
     import wreathsph.symfunc as symfunc
@@ -661,23 +658,22 @@ def test_wreath_rows_read_out_once_per_table(monkeypatch, name, n):
     group = load_group(bundled_group_path(name))
     table = load_table(json.loads(bundled_table_path(name).read_text()), group)
     lams = multipartitions(len(table.rows), n)
-    reductions, decoded = [0], []
-    vector_cyc, unpack_key = symfunc.vector_cyc, wreath.unpack_key
+    taus = multipartitions(len(group.classes), n)
+    reductions = [0]
+    vector_cyc = symfunc.vector_cyc
 
     def reducing(vec, den):
         reductions[0] += 1
         return vector_cyc(vec, den)
 
-    def decoding(key, size):
-        decoded.append(key)
-        return unpack_key(key, size)
+    def read_rows():
+        return [{tau: wreath_character(table, lam, tau) for tau in taus} for lam in lams]
 
     monkeypatch.setattr(symfunc, "vector_cyc", reducing)
-    monkeypatch.setattr(wreath, "unpack_key", decoding)
-    rows = [wreath_character_row(table, lam) for lam in lams]
-    counts = (reductions[0], len(decoded))
-    assert [wreath_character_row(table, lam) for lam in lams] == rows
-    assert (reductions[0], len(decoded)) == counts
+    rows = read_rows()
+    count = reductions[0]
+    assert read_rows() == rows
+    assert reductions[0] == count
     monkeypatch.undo()
 
     keys, read_outs = set(), {}  # every read-out; the nonzero ones' values
@@ -687,15 +683,15 @@ def test_wreath_rows_read_out_once_per_table(monkeypatch, name, n):
             if part.size:
                 image = image * wreath._pushed_schur(table, chi, part)
         assert row == {
-            tau: v * type_centralizer_order(group, tau) for tau, v in image.terms.items()
+            tau: image.terms.get(tau, ZERO) * type_centralizer_order(group, tau)
+            for tau in taus
         }
         for key, vec in image._vecs.items():
             tau = symfunc.unpack_key(key, len(group.classes))
             read_out = (tuple(vec), image._den, type_centralizer_order(group, tau))
             keys.add(read_out)
-            if tau in row:
+            if row[tau]:
                 read_outs.setdefault(read_out, []).append(row[tau])
-    assert len(decoded) == len(set(decoded))
     # the rows share read-outs, so a reduction per entry would be seen
     assert len(read_outs) < sum(map(len, read_outs.values()))
     assert 0 < reductions[0] <= len(keys)
@@ -824,7 +820,10 @@ def fresh_pair(name):
 @pytest.mark.parametrize("name", bundled_names())
 def test_wreath_table_json_matches_dict_rows(name):
     # the column-aligned full table equals the one read cell by cell from
-    # the dict rows of a separately loaded table, class sizes from Z_tau
+    # dict rows of a separately loaded table, Z_tau times the terms of the
+    # characteristic image, and class sizes come from Z_tau
+    import wreathsph.wreath as wreath
+
     group, table = fresh_pair(name)
     _, ref_table = fresh_pair(name)
     for n in range(1, 3 if name == "gl2f3" else 4):
@@ -834,12 +833,15 @@ def test_wreath_table_json_matches_dict_rows(name):
         assert got["class_sizes"] == [
             order // type_centralizer_order(group, tau) for tau in taus
         ]
+        rows = [
+            {
+                tau: v * type_centralizer_order(group, tau)
+                for tau, v in wreath._character_image(ref_table, lam).terms.items()
+            }
+            for lam in multipartitions(len(table.rows), n)
+        ]
         assert got["values"] == [
-            [str(row.get(tau, ZERO)) for tau in taus]
-            for row in (
-                wreath_character_row(ref_table, lam)
-                for lam in multipartitions(len(table.rows), n)
-            )
+            [str(row.get(tau, ZERO)) for tau in taus] for row in rows
         ], n
 
 
