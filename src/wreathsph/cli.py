@@ -182,6 +182,7 @@ def cmd_reconcile(args) -> int:
     _emit(report.to_json(), args.out)
     if not report.ok():
         print(f"reconcile: {len(report.mismatches)} mismatches", file=sys.stderr)
+        return EXIT_MATH
     return EXIT_OK
 
 

@@ -208,6 +208,7 @@ class CharacterTable:
         self.degrees = tuple(row[self.group.class_of[0]].as_int() for row in self.rows)
         self._wreath_cache = {}  # wreath-product character rows by label
         self._schur_images = {}  # pushed Schur factors by (row, partition)
+        self._monomial_images = {}  # _pushed_schur's change_alphabet memos, by row
         self._wreath_columns = {}  # wreath_columns results by degree
         self._class_weights = {}  # chi(c)/zeta_c per class, by row, for _pushed_schur
         self._row_reads = {}  # wreath rows' read-outs (SymFuncElem.coefficients' memo)

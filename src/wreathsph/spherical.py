@@ -117,8 +117,8 @@ class SphericalContext:
         self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
         # _numerator's values, by (row, class element, r mod 2)
         self._numerators: dict[tuple[int, int, int], CycNum] = {}
-        # _push_single's weights, by (row, merged class, r mod 2)
-        self._pushed: dict[tuple[int, str, int], CycNum] = {}
+        # _push_single's change_alphabet memos, by row
+        self._images: dict[int, dict] = {}
         self._cells: dict[tuple, CycNum] = {}  # SymFuncElem.coefficients' memo
 
     # -- shared precomputations -------------------------------------------------
@@ -388,24 +388,22 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
     The scale k was pinned by the averaging engine: for the unsigned
     characters k = 2 on real classes and 1 on complex ones; for the signed
     characters k = 2 on every class when chi's block is self-paired and 1
-    when it is a split pair.
+    when it is a split pair.  Every push for chi shares the memo
+    ctx._images[chi], so each power-sum monomial is pushed once per
+    (context, chi).
     """
     fusion = ctx.fusion
     self_paired = fusion.row_partner[chi] == chi
 
     def coeff(_a, b, r):
-        # r enters only through sign^(r-1): one weight per parity, per context
-        key = (chi, b, r % 2)
-        w = ctx._pushed.get(key)
-        if w is None:
-            m = fusion.merged[ctx.merged_names.index(b)]
-            k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
-            zc = ctx.group.centralizer_orders[m.classes[0]]
-            w = _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
-            ctx._pushed[key] = w
-        return w
+        m = fusion.merged[ctx.merged_names.index(b)]
+        k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
+        zc = ctx.group.centralizer_orders[m.classes[0]]
+        return _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
 
-    return SymFuncElem.from_p_expr(("x",), 0, f).change_alphabet(coeff, ctx.merged_names)
+    images = ctx._images.setdefault(chi, {})
+    single = SymFuncElem.from_p_expr(("x",), 0, f)
+    return single.change_alphabet(coeff, ctx.merged_names, images)
 
 
 def _block_factor(
@@ -471,6 +469,19 @@ def canonical_json(obj) -> str:
     return _json_text(obj, "\n") + "\n"
 
 
+_NO_ITEM = object()  # _item_texts' "no previous item"
+
+
+def _item_texts(items, newline: str):
+    """The JSON texts of a list's items, each run of one repeated object
+    (the rows of an "engines" grid) written once."""
+    prev, text = _NO_ITEM, ""
+    for v in items:
+        if v is not prev:
+            prev, text = v, _json_text(v, newline)
+        yield text
+
+
 def _json_text(obj, newline: str) -> str:
     """obj's indented JSON text, its nested lines starting at newline + two
     spaces; a list of strings is quoted and joined by json's C quoter."""
@@ -491,7 +502,7 @@ def _json_text(obj, newline: str) -> str:
         if all(isinstance(v, str) for v in obj):
             items = map(encode_basestring_ascii, obj)
         else:
-            items = (_json_text(v, inner) for v in obj)
+            items = _item_texts(obj, inner)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(obj)
 

@@ -432,8 +432,12 @@ class SymFuncElem:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SymFuncElem":
-        if not isinstance(c, CycNum):
-            c = CycNum.rational(c)
+        q = c.try_rational() if isinstance(c, CycNum) else Fraction(c)
+        if q is not None:
+            # a rational c scales the numerators and the denominator only
+            vecs = {k: [x * q.numerator for x in v] for k, v in self._vecs.items()}
+            den = self._den * q.denominator
+            return SymFuncElem._from_vectors(self.alphabet, self._n, vecs, den, self._weight)
         n = lcm(self._n, c.conductor)
         vc, dc = cyc_vector(c, n)
         vecs = {}
@@ -534,11 +538,17 @@ class SymFuncElem:
 
     # -- change of variables ----------------------------------------------------
 
-    def change_alphabet(self, coeff, target) -> "SymFuncElem":
+    def change_alphabet(self, coeff, target, images: dict | None = None) -> "SymFuncElem":
         """Apply the ring homomorphism p_r(a) -> sum_b coeff(a, b, r) p_r(b).
 
         coeff takes (source label, target label, degree r) and returns a
-        CycNum; it is called once per (a, b, r) the element uses.
+        CycNum.  images memoizes the image of each source monomial, as
+        (N, packed key -> vector, denominator), by its packed key: the
+        image of a monomial is that of the monomial less its lowest field
+        times that of the field.  Elements pushed by one map (the same
+        coeff, source and target alphabets) may share one images dict, so
+        each monomial, and each (a, b, r), is pushed once across them; a
+        memo is valid for that one map only.
         """
         target = tuple(target)
         size, tsize = len(self.alphabet), len(target)
@@ -547,11 +557,12 @@ class SymFuncElem:
                 f"weight {self._weight} exceeds {_FIELD_MAX}, the limit of a "
                 "packed multiplicity field"
             )
-        used = {i for k in self._vecs for i, m in enumerate(_fields(k)) if m}
-        # the image of p_r(a) per field (r, a), over one N and one denominator
-        images = {}
-        for index in used:
-            r, slot = divmod(index, size)
+        if images is None:
+            images = {}
+
+        def field_image(unit: int):
+            """The image of p_r(a), unit the packed monomial of that field."""
+            r, slot = divmod((unit.bit_length() - 1) // _W, size)
             cycs = {}
             for bi, b in enumerate(target):
                 w = coeff(self.alphabet[slot], b, r + 1)
@@ -559,41 +570,46 @@ class SymFuncElem:
                     w = CycNum.rational(w)
                 if w:
                     cycs[1 << (_W * (r * tsize + bi))] = w
-            images[index] = _cyc_vectors(cycs)
-        n = lcm(self._n, *(m for m, _, _ in images.values()))
-        d = lcm(1, *(den for _, _, den in images.values()))
-        for i, (m, vecs, den) in images.items():
-            f = d // den
-            images[i] = {k: [x * f for x in v] for k, v in _lift(vecs, m, n).items()}
-        powers: dict[tuple[int, int], dict[int, list[int]]] = {}
+            return _cyc_vectors(cycs)
 
-        def power(index: int, m: int) -> dict[int, list[int]]:
-            p = powers.get((index, m))
-            if p is None:
-                p = images[index]
-                if m > 1:
-                    p = _product(power(index, m - 1), p, n)
-                powers[index, m] = p
-            return p
+        def image(key: int):
+            # strip lowest fields down to a memoized monomial (or 1), then
+            # multiply them back on, memoizing each monomial on the way
+            chain = []
+            while key and key not in images:
+                chain.append(key)
+                key -= 1 << (_W * (((key & -key).bit_length() - 1) // _W))
+            got = images[key] if key else (1, {0: [1]}, 1)
+            for k in reversed(chain):
+                unit = k - key
+                if unit == k:
+                    got = field_image(unit)
+                else:
+                    u = images.get(unit)
+                    if u is None:
+                        u = images[unit] = field_image(unit)
+                    m = lcm(got[0], u[0])
+                    vecs = _product(_lift(got[1], got[0], m), _lift(u[1], u[0], m), m)
+                    got = (m, vecs, got[2] * u[2])
+                images[k] = got
+                key = k
+            return got
 
-        # each term's image has denominator d^length; bring all to d^top
-        lengths = {k: sum(_fields(k)) for k in self._vecs}
-        top = max(lengths.values(), default=0)
+        pushed = {key: image(key) for key in self._vecs}
+        n = lcm(self._n, *(m for m, _, _ in pushed.values()))
+        d = lcm(1, *(den for _, _, den in pushed.values()))
         out: dict[int, list[int]] = {}
         for key, vec in _lift(self._vecs, self._n, n).items():
-            f = d ** (top - lengths[key])
-            acc = {0: [x * f for x in vec]}
-            for index, m in enumerate(_fields(key)):
-                if m:
-                    acc = _product(acc, power(index, m), n)
-            for k, v in acc.items():
-                cur = out.get(k)
-                if cur is None:
-                    out[k] = v
-                else:
-                    for i, x in enumerate(v):
-                        cur[i] += x
-        return SymFuncElem._from_vectors(target, n, out, self._den * d**top, self._weight)
+            m, vecs, den = pushed[key]
+            # the term's coefficient, brought to the denominator d
+            f = d // den
+            c = [x * f for x in vec]
+            for k, v in _lift(vecs, m, n).items():
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = [0] * n
+                convolve_into(acc, c, v)
+        return SymFuncElem._from_vectors(target, n, out, self._den * d, self._weight)
 
     # -- serialization -------------------------------------------------------------
 

@@ -201,7 +201,8 @@ def wreath_dim(table: CharacterTable, lam: MultiPartition) -> int:
 def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncElem:
     """s_part pushed into the class alphabet by p_r(chi) -> sum_c chi(c)/zeta_c
     p_r(c), memoized on the table.  The weights chi(c)/zeta_c depend on
-    neither the part nor r, so they are formed once per (table, chi)."""
+    neither the part nor r, so they are formed once per (table, chi), and
+    each power-sum monomial is pushed once per (table, chi)."""
     key = (chi, part)
     image = table._schur_images.get(key)
     if image is None:
@@ -211,8 +212,9 @@ def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncEl
             weights = table._class_weights[chi] = [
                 v * Fraction(1, z) for v, z in zip(table.rows[chi], zc)
             ]
+        images = table._monomial_images.setdefault(chi, {})
         image = SymFuncElem.from_p_expr(("x",), 0, schur_p_expr(part)).change_alphabet(
-            lambda _a, c, _r: weights[c], range(len(weights))
+            lambda _a, c, _r: weights[c], range(len(weights)), images
         )
         table._schur_images[key] = image
     return image

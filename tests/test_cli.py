@@ -174,6 +174,28 @@ def test_reconcile_cli(capsys):
     assert obj["ok"] is True and obj["mismatches"] == []
 
 
+def test_reconcile_mismatch_exits_1_and_writes_the_report(tmp_path, monkeypatch, capsys):
+    import wreathsph.spherical as spherical
+
+    closed = spherical.spherical_closed
+
+    def off_by_one(ctx, lam, rho):
+        val = closed(ctx, lam, rho)
+        return None if val is None else val + 1
+
+    monkeypatch.setattr(spherical, "spherical_closed", off_by_one)
+    g, t = paths("c2")
+    out = tmp_path / "report.json"
+    rc = main(["reconcile", "--group", g, "--table", t, "--xi", "chi2",
+               "--pi", "triv", "--n", "2", "--out", str(out)])
+    assert rc == 1
+    obj = json.loads(out.read_text())
+    assert obj["ok"] is False
+    assert {m["kind"] for m in obj["mismatches"]} == {"closed-vs-brute"}
+    err = capsys.readouterr().err
+    assert err == f"reconcile: {len(obj['mismatches'])} mismatches\n"
+
+
 def test_selftest_subset(capsys):
     assert main(["selftest", "--criteria", "1,2,6"]) == 0
     out = capsys.readouterr().out

@@ -372,13 +372,15 @@ def test_reconcile_extra_configurations():
 )
 def test_symfunc_work_once_per_context(monkeypatch, config):
     # one push per distinct (block rep, lam[rep]) over the rows, one
-    # coset_order per column, and one partner context; nothing for a
-    # second table on the same context
+    # coset_order per column, one partner context, one image per (row,
+    # power-sum monomial) and one weight per (row, merged class, r);
+    # nothing for a second table on the same context
     import wreathsph.spherical as spherical
 
     counts = {"push": 0, "coset_order": 0, "context": 0}
     change_alphabet = SymFuncElem.change_alphabet
     coset_order_, fuse_classes_ = spherical.coset_order, spherical.fuse_classes
+    numerator_once, weights, formed = spherical._numerator_once, [], []
 
     def counting(key, fn):
         def wrapped(*args):
@@ -387,15 +389,29 @@ def test_symfunc_work_once_per_context(monkeypatch, config):
 
         return wrapped
 
+    def weighing(ctx, chi, g, r):
+        weights.append((id(ctx), chi, g, r))
+        return numerator_once(ctx, chi, g, r)
+
+    class Memo(dict):
+        def __setitem__(self, key, image):
+            formed.append((id(self), key))
+            super().__setitem__(key, image)
+
     monkeypatch.setattr(
         SymFuncElem, "change_alphabet", counting("push", change_alphabet)
     )
     monkeypatch.setattr(spherical, "coset_order", counting("coset_order", coset_order_))
     monkeypatch.setattr(spherical, "fuse_classes", counting("context", fuse_classes_))
+    monkeypatch.setattr(spherical, "_numerator_once", weighing)
     ctx = ctx_of(*config)
     twisted = ctx.pi in spherical.PI_PARTNER_UNSIGNED
-    tab = build_table(ctx, "symfunc")
     base = ctx.unsigned_partner if twisted else ctx
+    base._images = {chi: Memo() for chi in range(len(base.table.rows))}
+    tab = build_table(ctx, "symfunc")
+    assert formed and len(formed) == len(set(formed))
+    assert weights and len(weights) == len(set(weights))
+    seen = (len(formed), len(weights))
     labels = [lam.transpose() if twisted else lam for lam in ctx.rows]
     pushed = {(rep, lam[rep]) for lam in labels for rep, _, _ in base.row_blocks(lam)}
     # the rows share factors, so a push per row block would be seen
@@ -408,6 +424,7 @@ def test_symfunc_work_once_per_context(monkeypatch, config):
     assert counts == expect
     # a second table, and every closed cell, reuse the same work and partner
     assert build_table(ctx, "symfunc").values == tab.values
+    assert (len(formed), len(weights)) == seen
     for lam in ctx.rows:
         for rho in ctx.cols:
             spherical_closed(ctx, lam, rho)
@@ -613,6 +630,25 @@ def test_canonical_json_of_empty_and_nested_containers():
         canonical_json({1: "non-str key"})
     with pytest.raises(TypeError):
         canonical_json([Fraction(1, 2)])
+
+
+def test_canonical_json_of_repeated_items():
+    # a run of one repeated object is written once; equal but distinct
+    # objects, and an object that comes back later, are written each time
+    row = ["symfunc"] * 3
+    a, b = {"k": [1, None]}, {"k": [2]}
+    nested = {"x": {"y": [a, a]}}
+    for obj in (
+        [None, None],
+        [None],
+        [[]] * 3,
+        [row] * 4,
+        [row, list(row), row],
+        [a, b, a],
+        [nested, nested, {"z": nested}],
+        {"engines": [row] * 2, "values": [[None, None]] * 2},
+    ):
+        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_to_json_peak_memory_stays_under_four_times_its_text():

@@ -385,6 +385,62 @@ def test_kernel_change_alphabet_matches_reference(a, table):
     assert got.terms == ref_change_alphabet(a, AB, coeff, target)
 
 
+# up to two parts per slot: the reference costs 3^(parts) per key, and
+# small keys share more monomials and prefixes across elements
+memo_parts = st.lists(st.integers(1, 3), max_size=2).map(lambda ps: P(sorted(ps, reverse=True)))
+memo_terms = st.dictionaries(
+    st.builds(lambda a, b: MultiPartition([a, b]), memo_parts, memo_parts),
+    mixed_cycnums,
+    max_size=3,
+)
+
+
+@given(
+    st.lists(memo_terms, min_size=1, max_size=4),
+    st.lists(mixed_cycnums, min_size=12, max_size=12),
+)
+@KERNEL
+def test_kernel_change_alphabet_shares_one_memo(elems, table):
+    # elements pushed through one images dict get the images that fresh
+    # dicts and the reference give; coeff runs once per (a, b, r) across
+    # them, and not at all for a second push of the same element
+    target = ("u", "v", "w")
+    calls = []
+
+    def coeff(s, t, r):
+        calls.append((s, t, r))
+        return table[(AB.index(s) * 3 + target.index(t)) * 2 % 12 + r % 2]
+
+    xs = [SymFuncElem(AB, a) for a in elems]
+    images: dict = {}
+    shared = [x.change_alphabet(coeff, target, images) for x in xs]
+    assert len(calls) == len(set(calls))
+    calls.clear()
+    assert [x.change_alphabet(coeff, target, images) for x in xs] == shared
+    assert calls == []
+    for a, x, got in zip(elems, xs, shared):
+        assert got == x.change_alphabet(coeff, target, {})
+        assert got.terms == ref_change_alphabet(a, AB, coeff, target)
+
+
+@given(
+    term_dicts,
+    st.one_of(
+        st.sampled_from((0, -1, Fraction(-3, 7))),
+        st.fractions(max_denominator=12).filter(lambda q: abs(q.numerator) < 100),
+    ),
+)
+@KERNEL
+def test_kernel_rational_scale_matches_cycnum_product(a, q):
+    # a rational scale, 0 and negative ones included, is the CycNum
+    # product coefficient by coefficient, given as a number or a CycNum
+    x, c = SymFuncElem(AB, a), CycNum.rational(q)
+    expect = {k: v * c for k, v in a.items() if v * c}
+    assert x.scale(q).terms == expect
+    assert x.scale(c) == x.scale(q) == SymFuncElem(AB, expect)
+    assert bool(x.scale(q)) == bool(expect)
+
+
 def test_coefficient_vanishing_mod_phi_leaves_terms():
     z3 = cyc(3, {1: 1})
     k, other = MultiPartition([P((2,)), P()]), MultiPartition([P(), P((1,))])
