@@ -38,7 +38,6 @@ _EXPORTS = {
         "class_type",
         "coset_rep",
         "decompose_induced",
-        "hg_elements",
         "irrep_label_set",
         "wreath_character",
     ),

@@ -48,7 +48,6 @@ from .wreath import (
     coset_stabilizer,
     decompose_induced,
     epsilon_sign,
-    hg_elements,
     irrep_label_set,
     k_order,
     perm_of_partition,
@@ -191,15 +190,15 @@ def criterion_5() -> CriterionResult:
         group, table = bundled(name)
         fus0 = fuse_classes(group, table, 0)
         for n in ns:
-            hg = hg_elements(group, n)
             stabilizers = {
-                rho: coset_stabilizer(group, hg, coset_rep(group, fus0, rho))
+                rho: coset_stabilizer(group, n, coset_rep(group, fus0, rho))
                 for rho in multipartitions(len(fus0.merged), n)
             }
+            members = {g for pairs in stabilizers.values() for pair in pairs for g in pair}
             for xi in linear_characters(table):
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
-                    conj_theta = {h: theta.value(h).conjugate() for h in hg}
+                    conj_theta = {g: theta.value(g).conjugate() for g in members}
                     legal = set(
                         coset_label_set(table, fus0, xi, epsilon_sign(pi), n)
                     )

@@ -190,21 +190,6 @@ def shifted_tableau_count(mu: Partition) -> int:
     return total
 
 
-def glaisher(mu: Partition) -> Partition:
-    """The classical bijection from strict to odd partitions:
-    a part m = 2^a * b with b odd becomes 2^a copies of b."""
-    if not mu.is_strict():
-        raise ValueError("glaisher expects a strict partition")
-    parts: list[int] = []
-    for m in mu.parts:
-        a = 0
-        while m % 2 == 0:
-            m //= 2
-            a += 1
-        parts.extend([m] * (1 << a))
-    return Partition(sorted(parts, reverse=True))
-
-
 class MultiPartition:
     """A tuple of partitions over an implicit ordered label alphabet."""
 

@@ -51,6 +51,7 @@ from .symfunc import (
     sym_character,
 )
 from .wreath import (
+    DELTA,
     PairedChar,
     WreathElement,
     class_type,  # not used here; perfbench/test_tracing.py counts calls through it
@@ -59,8 +60,8 @@ from .wreath import (
     coset_rep,
     coset_stabilizer,
     cycle_type,
+    delta_twin,
     epsilon_sign,
-    hg_elements,
     hyperoct_perms,
     hyperoct_pi,
     irrep_label_set,
@@ -70,6 +71,7 @@ from .wreath import (
     p_cycles,
     p_inverse,
     perm_of_partition,
+    pi_bits,
     w_identity,
     wreath_character,
 )
@@ -77,9 +79,6 @@ from .wreath import (
 
 # The "format" tag of table JSON, also a part of every cache key.
 TABLE_FORMAT = 1
-
-PI_PARTNER_UNSIGNED = {"delta": "triv", "delta-iota": "iota"}
-PI_TENSOR_DELTA = {"triv": "delta", "iota": "delta-iota"}
 
 
 class SphericalContext:
@@ -159,7 +158,7 @@ class SphericalContext:
     @cached_property
     def unsigned_partner(self) -> "SphericalContext":
         """The context for the unsigned companion character (same Hecke algebra)."""
-        pi0 = PI_PARTNER_UNSIGNED[self.pi]
+        pi0 = delta_twin(self.pi)
         return SphericalContext(self.group, self.table, self.xi, pi0, self.n, self.caps)
 
     # -- brute engine --------------------------------------------------------------
@@ -170,6 +169,13 @@ class SphericalContext:
         work = (len(self.cols) + 1) * self.hg_size
         if work > self.caps.max_classwork:
             raise CapExceeded("cap-classwork", self.caps.max_classwork, work)
+
+    def check_closed_work(self) -> None:
+        """Refuse a closed table before it walks H_n, of 2^n n! elements,
+        for its classical values."""
+        size = 2**self.n * factorial(self.n)
+        if size > self.caps.max_elements:
+            raise CapExceeded("cap-elements", self.caps.max_elements, size)
 
     def _weights_at(self, x: WreathElement) -> dict[MultiPartition, CycNum]:
         """Class-type-bucketed sums conj(theta(h)) over h, evaluated at h*x^-1;
@@ -272,7 +278,7 @@ def spherical_closed(
     blocks = ctx.row_blocks(lam)
     if len(blocks) != 1:
         return None
-    if ctx.pi in PI_PARTNER_UNSIGNED:
+    if pi_bits(ctx.pi) & DELTA:
         # sign-twisted companion: value is the sign of the representative's
         # permutation part times the unsigned value at the transposed label
         sgn = (-1) ** len(rho.hat())
@@ -285,7 +291,7 @@ def spherical_closed(
     if partner == rep:
         nu = ctx.nu(rep)
         shape = lam[rep]
-        pi_eff = ctx.pi if nu == 1 else PI_TENSOR_DELTA[ctx.pi]
+        pi_eff = ctx.pi if nu == 1 else delta_twin(ctx.pi)
         omega = classical_spherical(shape, pi_eff, rho_hat)
         if not omega:
             return ZERO
@@ -329,8 +335,8 @@ def coset_order(ctx: SphericalContext, rho: MultiPartition) -> int:
 def coset_order_brute(ctx: SphericalContext, rho: MultiPartition) -> int:
     """|K x K| by orbit-stabilizer, walking K once; refuses K over the
     element cap."""
-    hg = hg_elements(ctx.group, ctx.n, ctx.caps)
-    return ctx.hg_size**2 // len(coset_stabilizer(ctx.group, hg, ctx.rep(rho)))
+    pairs = coset_stabilizer(ctx.group, ctx.n, ctx.rep(rho), ctx.caps)
+    return ctx.hg_size**2 // len(pairs)
 
 
 # -- characteristic map ------------------------------------------------------------------
@@ -437,7 +443,7 @@ def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
     """The predicted image (1/|subgroup|) CH(spherical function) as a product
     of classical symmetric functions, one factor per character block.  Each
     factor is pushed once per context and block, keyed by (rep, lam[rep])."""
-    if ctx.pi in PI_PARTNER_UNSIGNED:
+    if pi_bits(ctx.pi) & DELTA:
         return ch_image_product(ctx.unsigned_partner, lam.transpose()).sign_twist()
     result = None
     for rep, partner, _w in ctx.row_blocks(lam):
@@ -594,6 +600,8 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "brute":
         ctx.check_brute_work()
+    elif engine == "closed":
+        ctx.check_closed_work()
     grid = []
     for lam in ctx.rows:
         if engine == "brute":

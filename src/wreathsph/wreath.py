@@ -37,15 +37,27 @@ from .symfunc import SymFuncElem, pack_key, schur_p_expr, sym_character
 Perm = tuple[int, ...]
 
 PI_NAMES = ("triv", "delta", "iota", "delta-iota")
+# The bits of pi's index in PI_NAMES: which of delta and iota pi contains.
+DELTA, IOTA = 1, 2
+
+
+def pi_bits(pi: str) -> int:
+    """pi's index in PI_NAMES, whose bits DELTA and IOTA say which of delta
+    and iota pi contains."""
+    try:
+        return PI_NAMES.index(pi)
+    except ValueError:
+        raise ValueError(f"unknown pi name {pi!r}; expected one of {PI_NAMES}") from None
 
 
 def epsilon_sign(pi: str) -> int:
     """+1 for the unsigned pair of linear characters, -1 for the signed pair."""
-    if pi in ("triv", "delta"):
-        return 1
-    if pi in ("iota", "delta-iota"):
-        return -1
-    raise ValueError(f"unknown pi name {pi!r}; expected one of {PI_NAMES}")
+    return -1 if pi_bits(pi) & IOTA else 1
+
+
+def delta_twin(pi: str) -> str:
+    """pi times delta: triv <-> delta and iota <-> delta-iota."""
+    return PI_NAMES[pi_bits(pi) ^ DELTA]
 
 
 # -- permutations -------------------------------------------------------------
@@ -86,13 +98,6 @@ def p_cycles(perm: Perm) -> list[tuple[int, ...]]:
 
 def p_sign(perm: Perm) -> int:
     return (-1) ** sum(len(c) - 1 for c in p_cycles(perm))
-
-
-def p_from_transpositions(n: int, pairs) -> Perm:
-    out = list(range(n))
-    for a, b in pairs:
-        out[a], out[b] = out[b], out[a]
-    return tuple(out)
 
 
 def perm_of_partition(rho: Partition) -> Perm:
@@ -291,74 +296,46 @@ def wreath_table_json(table: CharacterTable, n: int) -> dict:
 # -- the centralizer-type subgroup of S_2n and its characters ----------------------
 
 
-def phi_embed(tau: Perm) -> Perm:
-    """The block-diagonal embedding sending i to the pair block tau(i)."""
-    n = len(tau)
-    out = [0] * (2 * n)
-    for i in range(n):
-        out[2 * i] = 2 * tau[i]
-        out[2 * i + 1] = 2 * tau[i] + 1
+@cache
+def hyperoct_perms(n: int) -> tuple[Perm, ...]:
+    """The centralizer H_n of (01)(23)...(2n-2,2n-1) in S_2n: per tau in S_n
+    and eps in {0,1}^n, the sigma with (sigma(2j), sigma(2j+1)) =
+    (2 tau(j) + eps_tau(j), 2 tau(j) + 1 - eps_tau(j))."""
+    out = []
+    for tau in permutations(range(n)):
+        for eps in iproduct((0, 1), repeat=n):
+            sigma: list[int] = []
+            for t in tau:
+                sigma += (2 * t + eps[t], 2 * t + 1 - eps[t])
+            out.append(tuple(sigma))
     return tuple(out)
 
 
-@cache
-def _hyperoct(n: int) -> tuple[tuple[Perm, ...], tuple[tuple[int, int], ...]]:
-    """The centralizer of (01)(23)...(2n-2,2n-1) in S_2n, built as
-    prod_i (2i,2i+1)^eps_i . phi(tau) over tau and eps, with the signs
-    ((-1)^|eps|, sign(tau)) of each element taken as it is built."""
-    perms, signs = [], []
-    for tau in permutations(range(n)):
-        body, tau_sign = phi_embed(tau), p_sign(tau)
-        for eps in iproduct((0, 1), repeat=n):
-            flips = p_from_transpositions(
-                2 * n, [(2 * i, 2 * i + 1) for i in range(n) if eps[i]]
-            )
-            perms.append(p_compose(flips, body))
-            signs.append(((-1) ** sum(eps), tau_sign))
-    return tuple(perms), tuple(signs)
-
-
-@cache
-def hyperoct_perms(n: int) -> tuple[Perm, ...]:
-    """All elements of the centralizer of (01)(23)...(2n-2,2n-1) in S_2n."""
-    return _hyperoct(n)[0]
-
-
-def _pi_of_signs(pi: str, eps_sign: int, tau_sign: int) -> int:
-    """One of the four linear characters of the centralizer subgroup at the
-    element prod_i (2i,2i+1)^eps_i . phi(tau), from (-1)^|eps| and sign(tau)."""
-    if pi == "triv":
-        return 1
-    if pi == "delta":
-        return eps_sign
-    if pi == "iota":
-        return tau_sign
-    if pi == "delta-iota":
-        return eps_sign * tau_sign
-    raise ValueError(f"unknown pi name {pi!r}")
+def _pi_at(bits: int, sigma: Perm) -> int:
+    """pi (given by pi_bits) at sigma in H_n, read off sigma: delta is -1 to
+    the number of flipped pairs (odd sigma(2j), so the parity of their
+    sum), iota the sign of the permutation j -> sigma(2j) // 2 of the pairs."""
+    value = -1 if bits & DELTA and sum(sigma[::2]) & 1 else 1
+    if bits & IOTA:
+        value *= p_sign(tuple(v >> 1 for v in sigma[::2]))
+    return value
 
 
 @cache
 def hyperoct_pi(pi: str, n: int) -> tuple[int, ...]:
-    """pi at each element of hyperoct_perms(n), in the same order, from the
-    signs taken as each element was built."""
-    return tuple(_pi_of_signs(pi, e, t) for e, t in _hyperoct(n)[1])
+    """pi at each element of hyperoct_perms(n), in the same order."""
+    bits = pi_bits(pi)
+    return tuple(_pi_at(bits, sigma) for sigma in hyperoct_perms(n))
 
 
-@cache
-def _hyperoct_index(n: int) -> dict[Perm, int]:
-    """The position of each element of H_n in hyperoct_perms(n)."""
-    return {sigma: i for i, sigma in enumerate(hyperoct_perms(n))}
-
-
-def pi_value(pi: str, sigma: Perm) -> int:
-    """Value of one of the four linear characters of the centralizer subgroup,
-    looked up in its construction; raises GroupError when sigma is not in it."""
-    n = len(sigma) // 2
-    i = _hyperoct_index(n).get(sigma)
-    if i is None:
-        raise GroupError(f"permutation is not in the block centralizer: {sigma}")
-    return hyperoct_pi(pi, n)[i]
+def _in_k(x: WreathElement) -> bool:
+    """x is in the doubled-base subgroup: its base is doubled and its
+    permutation maps each pair {2i, 2i+1} onto a pair (H_n).  On an odd
+    number of points the even and odd positions differ in number."""
+    base, perm = x.base, x.perm
+    return base[::2] == base[1::2] and [v >> 1 for v in perm[::2]] == [
+        v >> 1 for v in perm[1::2]
+    ]
 
 
 def _doubled_bases(group: FiniteGroup, n: int, caps: Caps) -> list[tuple[int, ...]]:
@@ -371,26 +348,11 @@ def _doubled_bases(group: FiniteGroup, n: int, caps: Caps) -> list[tuple[int, ..
             for gs in iproduct(range(group.order), repeat=n)]
 
 
-def hg_elements(group: FiniteGroup, n: int, caps: Caps = Caps()) -> list[WreathElement]:
-    """The doubled-base subgroup of G wr S_2n, enumerated explicitly: each
-    doubled base with each element of H_n."""
-    perms = hyperoct_perms(n)
-    return [WreathElement(base, sigma)
-            for base in _doubled_bases(group, n, caps) for sigma in perms]
-
-
-_NOT_IN_K = "element is not in the doubled-base subgroup"
-
-
 def _doubled_base_product(group: FiniteGroup, base: tuple[int, ...]) -> int:
-    """g_1...g_n for the doubled base (g_1, g_1, ..., g_n, g_n); raises
-    GroupError when the base is not doubled."""
-    n = len(base) // 2
-    if any(base[2 * i] != base[2 * i + 1] for i in range(n)):
-        raise GroupError(_NOT_IN_K)
+    """g_1...g_n for the doubled base (g_1, g_1, ..., g_n, g_n)."""
     prod = 0
-    for i in range(n):
-        prod = group.mul[prod][base[2 * i]]
+    for g in base[::2]:
+        prod = group.mul[prod][g]
     return prod
 
 
@@ -407,18 +369,15 @@ class PairedChar:
     def __post_init__(self):
         if self.table.degrees[self.xi] != 1:
             raise GroupError("xi must be a linear character")
-        if self.pi not in PI_NAMES:
-            raise ValueError(f"unknown pi name {self.pi!r}")
+        pi_bits(self.pi)  # refuses an unknown name
 
     def value(self, x: WreathElement) -> CycNum:
         """theta(x) = xi(g_1...g_n) pi(sigma); raises GroupError when x is not
         in the subgroup."""
-        try:
-            sign = pi_value(self.pi, x.perm)
-        except GroupError:
-            raise GroupError(_NOT_IN_K) from None
+        if not _in_k(x):
+            raise GroupError("element is not in the doubled-base subgroup")
         value = self.table.value(self.xi, _doubled_base_product(self.table.group, x.base))
-        return value if sign > 0 else -value
+        return -value if _pi_at(pi_bits(self.pi), x.perm) < 0 else value
 
     def name(self) -> str:
         return f"({self.table.names[self.xi]},{self.pi})"
@@ -500,11 +459,11 @@ def _dsp_t_family(w: int) -> tuple[Partition, ...]:
 
 
 def _self_row_family(nu: int, pi: str):
-    plus = {"triv": _even_family, "delta": _even_t_family,
-            "iota": _dsp_family, "delta-iota": _dsp_t_family}
-    minus = {"triv": _even_t_family, "delta": _even_family,
-             "iota": _dsp_t_family, "delta-iota": _dsp_family}
-    return plus[pi] if nu == 1 else minus[pi]
+    """A self-paired row's choices: doubled shapes for the unsigned pi and
+    doubled strict ones for the signed, transposed when exactly one of
+    "pi contains delta" and "nu = -1" holds."""
+    bits = pi_bits(pi) ^ (DELTA if nu == -1 else 0)
+    return (_even_family, _even_t_family, _dsp_family, _dsp_t_family)[bits]
 
 
 def _pair_family(w: int) -> tuple[Partition, ...]:
@@ -686,16 +645,19 @@ def decompose_induced(
 
 
 def coset_stabilizer(
-    group: FiniteGroup, hg: list[WreathElement], x: WreathElement
+    group: FiniteGroup, n: int, x: WreathElement, caps: Caps = Caps()
 ) -> list[tuple[WreathElement, WreathElement]]:
     """The pairs (h, k) of K x K with h x k = x, i.e. k = x^-1 h^-1 x, over
-    the h of K n xKx^-1; hg is K as hg_elements lists it.  By orbit-stabilizer
+    the h of K n xKx^-1, with K walked as its doubled bases times H_n;
+    refuses K over the element cap.  By orbit-stabilizer
     |KxK| = |K|^2 / len(pairs)."""
-    members = set(hg)
     xinv = w_inv(group, x)
+    perms = hyperoct_perms(n)
     pairs = []
-    for h in hg:
-        k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
-        if k in members:
-            pairs.append((h, k))
+    for base in _doubled_bases(group, n, caps):
+        for sigma in perms:
+            h = WreathElement(base, sigma)
+            k = w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)
+            if _in_k(k):
+                pairs.append((h, k))
     return pairs

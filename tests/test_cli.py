@@ -75,6 +75,25 @@ def test_cap_exceeded_names_cap(capsys):
     assert "cap-elements" in capsys.readouterr().err
 
 
+def test_closed_table_refuses_hyperoctahedral_group_over_the_element_cap(capsys):
+    # the closed engine walks H_n (2^n n! elements) for its classical
+    # values: refused with exit 3 before the walk when H_n is over the
+    # element cap, checked first at |H_3| = 48 so that a missing check fails
+    # here cheaply, then at n = 8, where |H_8| = 10,321,920 is past the
+    # default cap
+    g, t = paths("c1")
+    run = ["spherical", "--group", g, "--table", t, "--xi", "chi1", "--pi", "triv",
+           "--engine", "closed"]
+    assert main([*run, "--n", "3", "--cap-elements", "48"]) == 0
+    capsys.readouterr()
+    for argv, needed, limit in ((["--n", "3", "--cap-elements", "47"], 48, 47),
+                                (["--n", "8"], 10321920, 1000000)):
+        assert main([*run, *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"cap cap-elements exceeded: needed {needed}, limit {limit}" in err
+
+
 def test_spherical_deterministic_bytes(tmp_path):
     g, t = paths("c2")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

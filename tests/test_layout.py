@@ -1,13 +1,13 @@
 """The library holds no code that only tests use: every public function
-and class defined in src/wreathsph is named somewhere in src/, scripts/ or
-perfbench/ other than on its own def or class line, and every public
-method of a class body is reached there through an attribute access
-`.name`, so that a function or local of the same name does not count.
-Every name a module of src/wreathsph imports is used in that module, and
-every name the package exports is defined in the module it is read from."""
+and class defined in src/wreathsph is used in the code of src/, scripts/ or
+perfbench/, outside its own definition: named, imported or reached as an
+attribute `.name`.  A public method of a class body counts only through an
+attribute access, so that a function or local of the same name does not
+count; text in strings and comments counts for none.  Every name a module
+of src/wreathsph imports is used in that module, and every name the package
+exports is defined in the module it is read from."""
 
 import ast
-import re
 from pathlib import Path
 
 from wreathsph import _EXPORTS
@@ -33,19 +33,37 @@ def public_definitions():
                     yield node.name, id(node) in methods
 
 
+def code_uses(tree) -> set[tuple[str, str]]:
+    """("name", name) per name read or imported and ("attr", name) per
+    attribute access in tree, each outside a definition of that name."""
+    uses = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            uses.add(("name", node.id))
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            uses.add(("attr", node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            uses.update(("name", alias.name.split(".")[-1]) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return uses
+
+
 def test_every_public_name_is_used_outside_the_tests():
-    lines = [
-        line
-        for top in ("src", "scripts", "perfbench")
-        for path in sorted((ROOT / top).rglob("*.py"))
-        for line in path.read_text().splitlines()
+    uses = set()
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            uses |= code_uses(ast.parse(path.read_text()))
+    unused = [
+        name
+        for name, method in sorted(set(public_definitions()))
+        if ("attr", name) not in uses and (method or ("name", name) not in uses)
     ]
-    unused = []
-    for name, method in sorted(set(public_definitions())):
-        word = re.compile(rf"\.{name}\b" if method else rf"\b{name}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
     assert unused == []
 
 

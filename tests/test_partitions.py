@@ -11,7 +11,6 @@ from wreathsph.partitions import (
     doubling,
     from_frobenius,
     frobenius_coords,
-    glaisher,
     multipartitions,
     odd_partitions,
     partitions_of,
@@ -23,6 +22,20 @@ from wreathsph.partitions import (
 def shifted_hook_product(mu: Partition) -> Fraction:
     """n! / (number of standard shifted tableaux)."""
     return Fraction(factorial(mu.size), shifted_tableau_count(mu))
+
+
+def glaisher(mu: Partition) -> Partition:
+    """The classical bijection from strict to odd partitions:
+    a part m = 2^a * b with b odd becomes 2^a copies of b."""
+    assert mu.is_strict()
+    parts: list[int] = []
+    for m in mu.parts:
+        a = 0
+        while m % 2 == 0:
+            m //= 2
+            a += 1
+        parts.extend([m] * (1 << a))
+    return Partition(sorted(parts, reverse=True))
 
 
 def even_odd_split(lam: Partition) -> tuple[Partition, Partition]:

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 from collections.abc import Mapping
 from datetime import timedelta
 from fractions import Fraction
@@ -37,16 +38,15 @@ from wreathsph.spherical import (
     _radical_factor,
 )
 from wreathsph.symfunc import SymFuncElem, sym_character
+from test_wreath import hg_elements, reference_pi
 from wreathsph.wreath import (
     PI_NAMES,
     WreathElement,
     cycle_type,
-    hg_elements,
     hyperoct_perms,
     p_compose,
     p_inverse,
     perm_of_partition,
-    pi_value,
     w_identity,
     w_inv,
     w_mul,
@@ -405,7 +405,7 @@ def test_symfunc_work_once_per_context(monkeypatch, config):
     monkeypatch.setattr(spherical, "fuse_classes", counting("context", fuse_classes_))
     monkeypatch.setattr(spherical, "_numerator_once", weighing)
     ctx = ctx_of(*config)
-    twisted = ctx.pi in spherical.PI_PARTNER_UNSIGNED
+    twisted = ctx.pi in ("delta", "delta-iota")
     base = ctx.unsigned_partner if twisted else ctx
     base._images = {chi: Memo() for chi in range(len(base.table.rows))}
     tab = build_table(ctx, "symfunc")
@@ -671,15 +671,18 @@ def test_to_json_peak_memory_stays_under_four_times_its_text():
 def test_brute_passes_over_k(monkeypatch, config):
     # one pass over K per column plus one at the identity, for a whole table
     # and for a whole reconcile; theta read off the construction of K, from
-    # a factor table built once per context, with no PairedChar.value or
-    # pi_value call; class_type at most once per bucket a pass returns
+    # a factor table built once per context, with no PairedChar.value call;
+    # pi read at most once per element of H_m per (pi, m) over the whole
+    # test, so never per element of K; class_type at most once per bucket a
+    # pass returns
     import wreathsph.spherical as spherical
     import wreathsph.wreath as wreath
 
-    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0, "pi": 0, "tables": 0}
+    counts = {"passes": 0, "buckets": 0, "class_type": 0, "theta": 0, "tables": 0}
+    pi_reads = Counter()
     k_type_weights, conj_theta_table = spherical.k_type_weights, spherical.conj_theta_table
     class_type, theta_value = wreath.class_type, wreath.PairedChar.value
-    pi_value = wreath.pi_value
+    pi_at = wreath._pi_at
 
     def counting_k_type_weights(*args):
         counts["passes"] += 1
@@ -695,9 +698,9 @@ def test_brute_passes_over_k(monkeypatch, config):
         counts["theta"] += 1
         return theta_value(self, x)
 
-    def counting_pi_value(pi, sigma):
-        counts["pi"] += 1
-        return pi_value(pi, sigma)
+    def counting_pi_at(bits, sigma):
+        pi_reads[bits, len(sigma) // 2] += 1
+        return pi_at(bits, sigma)
 
     def counting_conj_theta_table(*args):
         counts["tables"] += 1
@@ -707,13 +710,14 @@ def test_brute_passes_over_k(monkeypatch, config):
     monkeypatch.setattr(spherical, "conj_theta_table", counting_conj_theta_table)
     monkeypatch.setattr(wreath, "class_type", counting_class_type)
     monkeypatch.setattr(wreath.PairedChar, "value", counting_theta_value)
-    monkeypatch.setattr(wreath, "pi_value", counting_pi_value)
+    monkeypatch.setattr(wreath, "_pi_at", counting_pi_at)
     for run in (lambda ctx: build_table(ctx, "brute"), reconcile):
         ctx = ctx_of(*config)
-        counts.update(passes=0, buckets=0, class_type=0, theta=0, pi=0, tables=0)
+        counts.update(passes=0, buckets=0, class_type=0, theta=0, tables=0)
         run(ctx)
         assert counts["passes"] == len(ctx.cols) + 1
-        assert counts["theta"] == counts["pi"] == 0
+        assert counts["theta"] == 0
+        assert all(c <= len(hyperoct_perms(m)) for (_bits, m), c in pi_reads.items())
         assert counts["tables"] == 1
         assert 0 < counts["class_type"] <= counts["buckets"]
         # the weights are kept: the same table again makes no pass
@@ -729,7 +733,7 @@ def direct_classical_spherical(shape, pi, rho_hat):
     perms = hyperoct_perms(rho_hat.size)
     total = Fraction(0)
     for h in perms:
-        total += pi_value(pi, h) * sym_character(shape, cycle_type(p_compose(h, tinv)))
+        total += reference_pi(pi, h) * sym_character(shape, cycle_type(p_compose(h, tinv)))
     return total / len(perms)
 
 

@@ -3,8 +3,9 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product as iproduct
 from math import factorial
 from pathlib import Path
 
@@ -41,19 +42,15 @@ from wreathsph.wreath import (
     cycle_type,
     decompose_induced,
     epsilon_sign,
-    hg_elements,
     hyperoct_perms,
     hyperoct_pi,
     irrep_label_set,
     k_type_weights,
     p_compose,
-    p_from_transpositions,
     p_identity,
     p_inverse,
     p_sign,
     perm_of_partition,
-    phi_embed,
-    pi_value,
     theta_type_weights,
     type_centralizer_order,
     w_embed,
@@ -75,6 +72,33 @@ def random_element(group, n, rng=RNG):
     perm = list(range(n))
     rng.shuffle(perm)
     return WreathElement(base, tuple(perm))
+
+
+def p_from_transpositions(n, pairs):
+    """The permutation of n points made by swapping each pair in turn."""
+    out = list(range(n))
+    for a, b in pairs:
+        out[a], out[b] = out[b], out[a]
+    return tuple(out)
+
+
+def phi_embed(tau):
+    """The block-diagonal embedding sending i to the pair block tau(i)."""
+    out = []
+    for t in tau:
+        out += (2 * t, 2 * t + 1)
+    return tuple(out)
+
+
+def hg_elements(group, n):
+    """The doubled-base subgroup K listed explicitly, in the order the
+    library walks it: each doubled base, in the order of G^n, with each
+    element of hyperoct_perms(n)."""
+    return [
+        WreathElement(tuple(g for g in gs for _ in (0, 1)), sigma)
+        for gs in iproduct(range(group.order), repeat=n)
+        for sigma in hyperoct_perms(n)
+    ]
 
 
 def reference_in_hyperoct(sigma):
@@ -204,33 +228,58 @@ def test_wreath_dims():
 
 
 def test_hyperoct_order_and_membership():
+    # H_n in the order of its construction prod_i (2i,2i+1)^eps_i . phi(tau),
+    # over tau, then eps
     for n in (1, 2, 3, 4):
         perms = hyperoct_perms(n)
         assert len(perms) == 2**n * factorial(n)
         assert len(set(perms)) == len(perms)
+        flips = [(2 * i, 2 * i + 1) for i in range(n)]
+        assert list(perms) == [
+            p_compose(p_from_transpositions(2 * n, [f for f, e in zip(flips, eps) if e]),
+                      phi_embed(tau))
+            for tau in permutations(range(n))
+            for eps in iproduct((0, 1), repeat=n)
+        ]
         # centralizer property: each commutes with the fixed involution
         t = p_from_transpositions(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
         for sigma in perms[:: max(1, len(perms) // 24)]:
             assert p_compose(sigma, t) == p_compose(t, sigma)
 
 
+def pi_through_theta(table, pi, sigma):
+    """pi at sigma as theta = pi of the trivial group c1 reads it."""
+    x = WreathElement((0,) * len(sigma), sigma)
+    return PairedChar(table, 0, pi, len(sigma) // 2).value(x).as_int()
+
+
+def pi_through_hyperoct(pi, sigma):
+    """pi at sigma as hyperoct_pi lists it."""
+    n = len(sigma) // 2
+    return hyperoct_pi(pi, n)[hyperoct_perms(n).index(sigma)]
+
+
 def test_pi_value_examples():
+    _group, table = bundled("c1")
     swap = p_from_transpositions(2, [(0, 1)])
-    assert pi_value("delta", swap) == -1 and pi_value("iota", swap) == 1
     cross = p_from_transpositions(4, [(0, 2), (1, 3)])
-    assert pi_value("delta", cross) == 1 and pi_value("iota", cross) == -1
+    for pi_at in (partial(pi_through_theta, table), pi_through_hyperoct):
+        assert pi_at("delta", swap) == -1 and pi_at("iota", swap) == 1
+        assert pi_at("delta", cross) == 1 and pi_at("iota", cross) == -1
     for outside in ((1, 2, 0, 3), (1, 0, 2)):
         with pytest.raises(GroupError):
-            pi_value("triv", outside)
+            pi_through_theta(table, "triv", outside)
 
 
 def test_pi_multiplicative():
+    _group, table = bundled("c1")
     perms = hyperoct_perms(3)
     for _ in range(50):
         a, b = RNG.choice(perms), RNG.choice(perms)
         ab = p_compose(a, b)
-        for pi in ("triv", "delta", "iota", "delta-iota"):
-            assert pi_value(pi, ab) == pi_value(pi, a) * pi_value(pi, b)
+        for pi in PI_NAMES:
+            for pi_at in (partial(pi_through_theta, table), pi_through_hyperoct):
+                assert pi_at(pi, ab) == pi_at(pi, a) * pi_at(pi, b)
 
 
 def test_theta_examples_and_multiplicativity():
@@ -264,6 +313,47 @@ def test_theta_rejects_outside_subgroup():
     for _ in range(2):
         with pytest.raises(GroupError, match="not in the doubled-base subgroup"):
             theta.value(outside)
+
+
+def test_theta_read_off_the_element_at_n6():
+    # theta at degree 6 on c2 agrees with the definitions at seeded
+    # elements inside K (built from a random pair permutation and random
+    # flips) and outside it (a base that is not doubled, a permutation
+    # outside H_6, a random element), without building H_6
+    group, table = bundled("c2")
+    n = 6
+    rng = random.Random("theta-n6")
+    misses = hyperoct_perms.cache_info().misses
+    inside, outside = [], []
+    for _ in range(40):
+        tau = rng.sample(range(n), n)
+        flips = [rng.randrange(2) for _ in range(n)]
+        sigma = tuple(v for t in tau for v in (2 * t + flips[t], 2 * t + 1 - flips[t]))
+        gs = [rng.randrange(group.order) for _ in range(n)]
+        base = tuple(g for g in gs for _ in (0, 1))
+        inside.append(WreathElement(base, sigma))
+        undoubled = list(base)
+        undoubled[2 * rng.randrange(n)] ^= 1
+        outside.append(WreathElement(tuple(undoubled), sigma))
+        moved = list(sigma)
+        i, j = rng.sample(range(2 * n), 2)
+        moved[i], moved[j] = moved[j], moved[i]
+        outside += [WreathElement(base, tuple(moved)), random_element(group, 2 * n, rng)]
+    outside = [x for x in outside if not reference_in_k(x)]
+    assert all(map(reference_in_k, inside)) and len(outside) >= 80
+    for xi in linear_characters(table):
+        for pi in PI_NAMES:
+            theta = PairedChar(table, xi, pi, n)
+            for x in inside:
+                prod = 0
+                for g in x.base[::2]:
+                    prod = group.mul[prod][g]
+                want = table.value(xi, prod) * reference_pi(pi, x.perm)
+                assert theta.value(x) == want, (xi, pi, x)
+            for x in outside:
+                with pytest.raises(GroupError, match="not in the doubled-base subgroup"):
+                    theta.value(x)
+    assert hyperoct_perms.cache_info().misses == misses
 
 
 def test_conj_theta_table_matches_per_element_theta():
@@ -300,10 +390,10 @@ def test_conj_theta_table_matches_per_element_theta():
 
 
 def test_hyperoct_pi_read_from_construction():
-    # H_n, pi over it and pi_value agree with the definitions: every
-    # permutation of 2n points for n <= 3, and H_4 with a seeded sample of
-    # S_8; a permutation outside H_n raises through pi_value and through
-    # PairedChar.value
+    # H_n and pi over it, through hyperoct_pi and through theta = pi on c1,
+    # agree with the definitions: every permutation of 2n points for
+    # n <= 3, and H_4 with a seeded sample of S_8; a permutation outside
+    # H_n raises through PairedChar.value
     _group, table = bundled("c1")
     rng = random.Random("hyperoct")
     for n in range(1, 5):
@@ -312,7 +402,8 @@ def test_hyperoct_pi_read_from_construction():
         for pi in PI_NAMES:
             want = tuple(reference_pi(pi, h) for h in perms)
             assert hyperoct_pi(pi, n) == want, (n, pi)
-            assert tuple(pi_value(pi, h) for h in perms) == want, (n, pi)
+            got = tuple(pi_through_theta(table, pi, h) for h in perms)
+            assert got == want, (n, pi)
         if n <= 3:
             points = list(permutations(range(2 * n)))
             assert sum(map(reference_in_hyperoct, points)) == len(perms)
@@ -322,8 +413,6 @@ def test_hyperoct_pi_read_from_construction():
         for pi in PI_NAMES:
             theta = PairedChar(table, 0, pi, n)
             for sigma in outside[:: max(1, len(outside) // 200)]:
-                with pytest.raises(GroupError):
-                    pi_value(pi, sigma)
                 with pytest.raises(GroupError, match="not in the doubled-base"):
                     theta.value(WreathElement((0,) * (2 * n), sigma))
 
@@ -352,15 +441,22 @@ def test_coset_rep_identity_pattern():
 
 
 def test_coset_stabilizer_of_inverse_has_same_size():
-    # K x^-1 K is the inverse of KxK, so both have the same size
+    # the pairs are those of K x K with h x k = x, in the order of K; K x^-1 K
+    # is the inverse of KxK, so both have the same size
     for name, n in (("c2", 2), ("q8", 1)):
         group, table = bundled(name)
         hg = hg_elements(group, n)
-        for _ in range(6):
-            x = random_element(group, 2 * n)
-            pairs = coset_stabilizer(group, hg, x)
+        fus = fuse_classes(group, table, 0)
+        points = [random_element(group, 2 * n) for _ in range(6)] + [
+            coset_rep(group, fus, rho) for rho in multipartitions(len(fus.merged), n)
+        ]
+        for x in points:
+            pairs = coset_stabilizer(group, n, x)
+            xinv = w_inv(group, x)
+            want = [(h, w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)) for h in hg]
+            assert pairs == [(h, k) for h, k in want if reference_in_k(k)]
             assert all(w_mul(group, w_mul(group, h, x), k) == x for h, k in pairs)
-            assert len(pairs) == len(coset_stabilizer(group, hg, w_inv(group, x)))
+            assert len(pairs) == len(coset_stabilizer(group, n, w_inv(group, x)))
 
 
 def test_explicit_involution_identities():
@@ -766,11 +862,10 @@ def test_trivial_twist_stabilizer_sums_never_vanish():
     # merged class c, zeta_c at a complex one
     group, table = bundled("q8")
     fus = fuse_classes(group, table, 0)
-    hg = hg_elements(group, 1)
     theta = PairedChar(table, 0, "triv", 1)
     for i, m in enumerate(fus.merged):
         rho = MultiPartition([P((1,)) if j == i else P() for j in range(len(fus.merged))])
-        pairs = coset_stabilizer(group, hg, coset_rep(group, fus, rho))
+        pairs = coset_stabilizer(group, 1, coset_rep(group, fus, rho))
         tot = sum_products(
             (theta.value(h).conjugate(), theta.value(k).conjugate(), 1) for h, k in pairs
         )
