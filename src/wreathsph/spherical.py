@@ -6,7 +6,9 @@ Engines:
   brute   -- group-algebra averaging of the big-group character over the
              subgroup (ground truth);
   closed  -- product formulas available when an irreducible label is
-             concentrated on a single character block;
+             concentrated on a single character block, with the classical
+             (S_2n, H_n) factor read off a Jack or Schur Q power-sum
+             coefficient;
   symfunc -- coefficient extraction from products of classical symmetric
              functions (Jack at 2, Schur Q, Schur) pushed through
              the change of variables onto merged-class power sums.
@@ -44,14 +46,17 @@ from .partitions import (
 from .symfunc import (
     PExpr,
     SymFuncElem,
+    jack_p,
     jack_p_expr,
     pack_key,
     schur_p_expr,
+    schurq_p,
     schurq_p_expr,
     sym_character,
 )
 from .wreath import (
     DELTA,
+    IOTA,
     PairedChar,
     WreathElement,
     class_type,  # not used here; perfbench/test_tracing.py counts calls through it
@@ -59,18 +64,11 @@ from .wreath import (
     coset_label_set,
     coset_rep,
     coset_stabilizer,
-    cycle_type,
     delta_twin,
     epsilon_sign,
-    hyperoct_perms,
-    hyperoct_pi,
     irrep_label_set,
     k_order,
     k_type_weights,
-    p_compose,
-    p_cycles,
-    p_inverse,
-    perm_of_partition,
     pi_bits,
     w_identity,
     wreath_character,
@@ -170,13 +168,6 @@ class SphericalContext:
         if work > self.caps.max_classwork:
             raise CapExceeded("cap-classwork", self.caps.max_classwork, work)
 
-    def check_closed_work(self) -> None:
-        """Refuse a closed table before it walks H_n, of 2^n n! elements,
-        for its classical values."""
-        size = 2**self.n * factorial(self.n)
-        if size > self.caps.max_elements:
-            raise CapExceeded("cap-elements", self.caps.max_elements, size)
-
     def _weights_at(self, x: WreathElement) -> dict[MultiPartition, CycNum]:
         """Class-type-bucketed sums conj(theta(h)) over h, evaluated at h*x^-1;
         one pass over K per evaluation element, memoized."""
@@ -221,36 +212,46 @@ class SphericalContext:
 # -- classical two-group spherical values ---------------------------------------------
 
 
-@cache
-def _classical_buckets(pi: str, rho_hat: Partition) -> dict[Partition, int]:
-    """Per cycle type of h t^-1, the sum of pi(h) over the centralizer
-    subgroup H_n, where t is the doubled-cycle permutation of rho_hat;
-    pi(h) is read from the construction of H_n.  Zero sums are dropped.
-    Buckets are keyed by the sorted cycle lengths; each nonzero one is
-    labelled by cycle_type at its first element."""
-    tinv = p_inverse(perm_of_partition(Partition(tuple(2 * p for p in rho_hat))))
-    buckets: dict[tuple[int, ...], list] = {}
-    n = rho_hat.size
-    for h, sign in zip(hyperoct_perms(n), hyperoct_pi(pi, n)):
-        ht = p_compose(h, tinv)
-        key = tuple(sorted(len(c) for c in p_cycles(ht)))
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = [ht, 0]
-        bucket[1] += sign
-    return {cycle_type(ht): w for ht, w in buckets.values() if w}
-
-
 def classical_spherical(shape: Partition, pi: str, rho_hat: Partition) -> Fraction:
-    """Spherical value of the symmetric-group pair (S_2n, centralizer of a
-    fixed-point-free involution) for the linear character pi, at the coset of
-    the doubled-cycle permutation of rho_hat, by direct averaging over H_n,
-    bucketed by cycle type once per (pi, rho_hat)."""
+    """Spherical value of the symmetric-group pair (S_2n, H_n), H_n the
+    centralizer of a fixed-point-free involution, for the linear character
+    pi, at the coset of the doubled-cycle permutation of rho_hat: a
+    power-sum coefficient of a Jack or Schur Q function (_classical_row)."""
     assert shape.size == 2 * rho_hat.size
-    total = sum(
-        w * sym_character(shape, t) for t, w in _classical_buckets(pi, rho_hat).items()
-    )
-    return Fraction(total, 2**rho_hat.size * factorial(rho_hat.size))
+    return _classical_row(shape, pi).get(rho_hat, Fraction(0))
+
+
+@cache
+def _classical_row(shape: Partition, pi: str) -> dict[Partition, Fraction]:
+    """classical_spherical at every rho_hat where it is nonzero, read off one
+    expansion per (shape, pi) (Macdonald VII.2 and III.8); z = aut_order()
+    and n = |rho|:
+      triv: 2^l(rho) z [p_rho] J^(2)_mu / (2^n n!) at the shape 2mu;
+      iota: z [p_rho] Q_mu / (2^n g^mu) at the double of a strict mu, g^mu
+            its number of standard shifted tableaux;
+    and 0 at every other shape.  sgn restricted to H_n is delta, and the
+    doubled-cycle permutation of rho_hat has sign (-1)^l(rho_hat), so a
+    delta-type pi gives that sign times its twin's value at the transposed
+    shape."""
+    bits = pi_bits(pi)
+    if bits & DELTA:
+        twin = _classical_row(shape.transpose(), delta_twin(pi))
+        return {rho: -v if len(rho) & 1 else v for rho, v in twin.items()}
+    n = shape.size // 2
+    if not bits & IOTA:
+        if not shape.is_even():
+            return {}
+        scale = Fraction(1, 2**n * factorial(n))
+        return {
+            rho: 2 ** len(rho) * rho.aut_order() * c * scale
+            for rho, c in jack_p(_halve(shape), 2)
+        }
+    try:
+        mu = _undouble(shape)
+    except ValueError:
+        return {}
+    scale = Fraction(1, 2**n * shifted_tableau_count(mu))
+    return {rho: rho.aut_order() * c * scale for rho, c in schurq_p(mu)}
 
 
 # -- closed-form engine ------------------------------------------------------------------
@@ -600,8 +601,6 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "brute":
         ctx.check_brute_work()
-    elif engine == "closed":
-        ctx.check_closed_work()
     grid = []
     for lam in ctx.rows:
         if engine == "brute":

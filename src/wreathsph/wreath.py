@@ -110,10 +110,6 @@ def perm_of_partition(rho: Partition) -> Perm:
     return tuple(out)
 
 
-def cycle_type(perm: Perm) -> Partition:
-    return Partition(sorted((len(c) for c in p_cycles(perm)), reverse=True))
-
-
 # -- wreath elements -----------------------------------------------------------
 
 
@@ -373,9 +369,11 @@ class PairedChar:
 
     def value(self, x: WreathElement) -> CycNum:
         """theta(x) = xi(g_1...g_n) pi(sigma); raises GroupError when x is not
-        in the subgroup."""
-        if not _in_k(x):
-            raise GroupError("element is not in the doubled-base subgroup")
+        in the subgroup, of degree 2n."""
+        if len(x.perm) != 2 * self.n or not _in_k(x):
+            raise GroupError(
+                f"element is not in the doubled-base subgroup of degree {2 * self.n}"
+            )
         value = self.table.value(self.xi, _doubled_base_product(self.table.group, x.base))
         return -value if _pi_at(pi_bits(self.pi), x.perm) < 0 else value
 

@@ -8,7 +8,11 @@ import pytest
 
 from wreathsph.acceptance import run_criteria
 from wreathsph.cli import main
-from wreathsph.groups import bundled_group_path, bundled_table_path
+from wreathsph.groups import bundled, bundled_group_path, bundled_table_path
+from wreathsph.spherical import SphericalContext, build_table
+from wreathsph.wreath import PI_NAMES
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def paths(name):
@@ -75,23 +79,21 @@ def test_cap_exceeded_names_cap(capsys):
     assert "cap-elements" in capsys.readouterr().err
 
 
-def test_closed_table_refuses_hyperoctahedral_group_over_the_element_cap(capsys):
-    # the closed engine walks H_n (2^n n! elements) for its classical
-    # values: refused with exit 3 before the walk when H_n is over the
-    # element cap, checked first at |H_3| = 48 so that a missing check fails
-    # here cheaply, then at n = 8, where |H_8| = 10,321,920 is past the
-    # default cap
+def test_closed_table_at_n8_equals_the_symfunc_table(tmp_path):
+    # the closed engine reads its classical values off power-sum
+    # coefficients, so it answers at n = 8, where |H_8| = 10,321,920 is past
+    # the default element cap, with the symfunc engine's values
     g, t = paths("c1")
-    run = ["spherical", "--group", g, "--table", t, "--xi", "chi1", "--pi", "triv",
-           "--engine", "closed"]
-    assert main([*run, "--n", "3", "--cap-elements", "48"]) == 0
-    capsys.readouterr()
-    for argv, needed, limit in ((["--n", "3", "--cap-elements", "47"], 48, 47),
-                                (["--n", "8"], 10321920, 1000000)):
-        assert main([*run, *argv]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"cap cap-elements exceeded: needed {needed}, limit {limit}" in err
+    for pi in ("triv", "iota"):
+        tables = {}
+        for engine in ("closed", "symfunc"):
+            out = tmp_path / f"{pi}_{engine}.json"
+            assert main(["spherical", "--group", g, "--table", t, "--xi", "chi1",
+                         "--pi", pi, "--n", "8", "--engine", engine, "--format", "json",
+                         "--out", str(out)]) == 0
+            tables[engine] = json.loads(out.read_text())
+            del tables[engine]["engines"]
+        assert tables["closed"]["values"] and tables["closed"] == tables["symfunc"]
 
 
 def test_spherical_deterministic_bytes(tmp_path):
@@ -344,6 +346,27 @@ def run_python(*args):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_reconcile_script_sweeps_the_bundled_groups():
+    proc = run_python(str(SCRIPTS / "run_reconcile.py"), "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all engines agree"
+    assert "MISMATCH" not in proc.stdout
+
+
+def test_make_tables_script_writes_one_csv_per_configuration(tmp_path):
+    # c1 at n <= 3: its one linear xi, chi1, with the four pi
+    proc = run_python(str(SCRIPTS / "make_tables.py"), str(tmp_path), "c1")
+    assert proc.returncode == 0, proc.stderr
+    group, table = bundled("c1")
+    expect = {
+        f"c1_chi1_{pi}_n{n}.csv": build_table(SphericalContext(group, table, 0, pi, n)).to_csv()
+        for pi in PI_NAMES
+        for n in (1, 2, 3)
+    }
+    assert len(expect) == 12
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == expect
 
 
 def test_python_dash_m_runs_the_command_line():

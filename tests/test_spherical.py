@@ -38,11 +38,10 @@ from wreathsph.spherical import (
     _radical_factor,
 )
 from wreathsph.symfunc import SymFuncElem, sym_character
-from test_wreath import hg_elements, reference_pi
+from test_wreath import cycle_type, hg_elements, reference_pi
 from wreathsph.wreath import (
     PI_NAMES,
     WreathElement,
-    cycle_type,
     hyperoct_perms,
     p_compose,
     p_inverse,
@@ -341,6 +340,27 @@ def test_brute_equals_symfunc_on_bundled_configurations(config):
         assert sym.values[cell] == value, (config, cell)
     for lam in ctx.rows:
         assert ctx.brute_at_element(lam, w_identity(2 * ctx.n)) == ONE
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_closed_equals_symfunc_wherever_closed_answers(name):
+    # every linear xi and pi at n <= 2, and n <= 6 on c1 and c2, cell by cell
+    # at every cell the closed engine answers; q8 at the trivial twist and
+    # gl2f3 at chi2 have rows with nu = -1, where it takes the delta twin
+    _, table = bundled(name)
+    for n in range(1, 7 if name in ("c1", "c2") else 3):
+        for xi in linear_characters(table):
+            for pi in PI_NAMES:
+                ctx = ctx_of(name, xi, pi, n)
+                sym = build_table(ctx, "symfunc")
+                answered = 0
+                for i, lam in enumerate(ctx.rows):
+                    for j, rho in enumerate(ctx.cols):
+                        closed = spherical_closed(ctx, lam, rho)
+                        if closed is not None:
+                            assert closed == sym.value(i, j), (name, xi, pi, n, lam, rho)
+                            answered += 1
+                assert answered, (name, xi, pi, n)
 
 
 def test_reconcile_extra_configurations():

@@ -306,7 +306,7 @@ def ref_mul(a: dict, b: dict) -> dict:
     for k1, v1 in a.items():
         for k2, v2 in b.items():
             k = union(k1, k2)
-            terms[k] = terms.get(k, ZERO) + v1 * v2
+            terms[k] = terms[k] + v1 * v2 if k in terms else v1 * v2
     return {k: v for k, v in terms.items() if v}
 
 
@@ -317,24 +317,35 @@ def ref_add(a: dict, b: dict, c=ONE) -> dict:
     return {k: v for k, v in terms.items() if v}
 
 
-def ref_change_alphabet(terms: dict, alphabet, coeff, target) -> dict:
+def ref_change_alphabet(terms: dict, alphabet, coeff, target, memo=None) -> dict:
+    """Each key's image is the ref_mul product of the images of its parts,
+    sum over b of coeff(alphabet[slot], b, r) p_r(b), each formed once; memo
+    keeps both, by (slot, r) and by key, across calls with one coeff and
+    target."""
+    memo = {} if memo is None else memo
     empty = MultiPartition([P()] * len(target))
+
+    def part_image(slot, r):
+        image = memo.get((slot, r))
+        if image is None:
+            image = memo[slot, r] = {
+                MultiPartition([P((r,)) if i == bi else P() for i in range(len(target))]):
+                coeff(alphabet[slot], b, r)
+                for bi, b in enumerate(target)
+            }
+        return image
+
     out = {}
     for key, c in terms.items():
-        acc = {empty: c}
-        for slot, lam in enumerate(key):
-            for r in lam:
-                images = [(bi, coeff(alphabet[slot], b, r)) for bi, b in enumerate(target)]
-                nxt = {}
-                for mp, v in acc.items():
-                    for bi, w in images:
-                        parts = list(mp.parts)
-                        parts[bi] = parts[bi].union(P((r,)))
-                        nk = MultiPartition(parts)
-                        nxt[nk] = nxt.get(nk, ZERO) + v * w
-                acc = nxt
-        for mp, v in acc.items():
-            out[mp] = out.get(mp, ZERO) + v
+        image = memo.get(key)
+        if image is None:
+            image = {empty: ONE}
+            for slot, lam in enumerate(key):
+                for r in lam:
+                    image = ref_mul(image, part_image(slot, r))
+            memo[key] = image
+        for mp, v in image.items():
+            out[mp] = out[mp] + v * c if mp in out else v * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -418,9 +429,10 @@ def test_kernel_change_alphabet_shares_one_memo(elems, table):
     calls.clear()
     assert [x.change_alphabet(coeff, target, images) for x in xs] == shared
     assert calls == []
+    memo: dict = {}
     for a, x, got in zip(elems, xs, shared):
         assert got == x.change_alphabet(coeff, target, {})
-        assert got.terms == ref_change_alphabet(a, AB, coeff, target)
+        assert got.terms == ref_change_alphabet(a, AB, coeff, target, memo)
 
 
 @given(

@@ -39,7 +39,6 @@ from wreathsph.wreath import (
     coset_label_set,
     coset_rep,
     coset_stabilizer,
-    cycle_type,
     decompose_induced,
     epsilon_sign,
     hyperoct_perms,
@@ -47,6 +46,7 @@ from wreathsph.wreath import (
     irrep_label_set,
     k_type_weights,
     p_compose,
+    p_cycles,
     p_identity,
     p_inverse,
     p_sign,
@@ -88,6 +88,10 @@ def phi_embed(tau):
     for t in tau:
         out += (2 * t, 2 * t + 1)
     return tuple(out)
+
+
+def cycle_type(perm):
+    return P(sorted((len(c) for c in p_cycles(perm)), reverse=True))
 
 
 def hg_elements(group, n):
@@ -313,6 +317,15 @@ def test_theta_rejects_outside_subgroup():
     for _ in range(2):
         with pytest.raises(GroupError, match="not in the doubled-base subgroup"):
             theta.value(outside)
+
+
+def test_theta_rejects_elements_of_another_degree():
+    # elements of K at degree 4 and 0 are not in the subgroup of degree 2
+    _group, table = bundled("c2")
+    theta = PairedChar(table, 1, "iota", 1)
+    for x in (WreathElement((1, 1, 0, 0), (2, 3, 0, 1)), w_identity(4), w_identity(0)):
+        with pytest.raises(GroupError, match="not in the doubled-base subgroup of degree 2"):
+            theta.value(x)
 
 
 def test_theta_read_off_the_element_at_n6():
