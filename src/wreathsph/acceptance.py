@@ -190,15 +190,20 @@ def criterion_5() -> CriterionResult:
         group, table = bundled(name)
         fus0 = fuse_classes(group, table, 0)
         for n in ns:
+            # the stabilizer members are numbered once per n and the pairs
+            # kept as index pairs, so conj theta is one list per (xi, pi)
+            index: dict = {}
             stabilizers = {
-                rho: coset_stabilizer(group, n, coset_rep(group, fus0, rho))
+                rho: [
+                    (index.setdefault(h, len(index)), index.setdefault(k, len(index)))
+                    for h, k in coset_stabilizer(group, n, coset_rep(group, fus0, rho))
+                ]
                 for rho in multipartitions(len(fus0.merged), n)
             }
-            members = {g for pairs in stabilizers.values() for pair in pairs for g in pair}
             for xi in linear_characters(table):
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
-                    conj_theta = {g: theta.value(g).conjugate() for g in members}
+                    conj_theta = [theta.value(g).conjugate() for g in index]
                     legal = set(
                         coset_label_set(table, fus0, xi, epsilon_sign(pi), n)
                     )

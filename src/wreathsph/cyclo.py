@@ -102,41 +102,51 @@ def _subfield_basis(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tab[(step * j) % n] for j in range(_phi_deg(m)))
 
 
-def _solve_subfield(n: int, m: int, vec: list[int | Fraction]) -> list[Fraction] | None:
-    """Write vec (over the Q(zeta_n) basis) over the Q(zeta_m) basis, if possible."""
-    cols = _subfield_basis(n, m)
-    rows, ncols = _phi_deg(n), len(cols)
-    # Gaussian elimination on the augmented system [B | vec].
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [vec[i]] for i in range(rows)]
-    piv_of_col = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
-        if piv is None:
-            piv_of_col.append(None)
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
+@cache
+def _subfield_inverse(n: int, m: int) -> tuple[tuple, tuple, int]:
+    """(rows, cols, scale), eliminated once per (n, m): rows[j] lists the
+    nonzero (i, c) of row j of scale * L, for the least integer scale and
+    a left inverse L of the basis B = _subfield_basis(n, m), L B = 1;
+    cols[j] lists the nonzero (i, c) of column j of B."""
+    basis = _subfield_basis(n, m)
+    size, dim = len(basis[0]), len(basis)
+    # Gauss-Jordan elimination of [B | 1] in Fractions: B has full column
+    # rank, so its first dim rows end as [1 | L].
+    aug = [
+        [Fraction(col[i]) for col in basis] + [Fraction(int(i == k)) for k in range(size)]
+        for i in range(size)
+    ]
+    for c in range(dim):
+        piv = next(i for i in range(c, size) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(size):
+            if i != c and aug[i][c]:
                 f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_of_col.append(r)
-        r += 1
-    if any(aug[i][ncols] for i in range(r, rows)):
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, piv in enumerate(piv_of_col):
-        if piv is not None:
-            sol[c] = aug[piv][ncols]
-    # columns without pivots must not be needed; check consistency
-    chk = [Fraction(0)] * rows
-    for c in range(ncols):
-        if sol[c]:
-            for i in range(rows):
-                chk[i] += sol[c] * cols[c][i]
-    return sol if chk == vec else None
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    inverse = [row[dim:] for row in aug[:dim]]
+    scale = lcm(1, *(x.denominator for row in inverse for x in row))
+    rows = tuple(
+        tuple((i, int(x * scale)) for i, x in enumerate(row) if x) for row in inverse
+    )
+    cols = tuple(tuple((i, c) for i, c in enumerate(col) if c) for col in basis)
+    return rows, cols, scale
+
+
+def _solve_subfield(n: int, m: int, vec: list[int]) -> tuple[list[int], int] | None:
+    """Write the integer vec (over the Q(zeta_n) basis) over the Q(zeta_m)
+    basis, if possible: (sol, scale) with vec = B sol / scale, B the basis.
+    The left inverse gives the only candidate; the exact check B sol =
+    scale * vec rejects a value outside the subfield."""
+    rows, cols, scale = _subfield_inverse(n, m)
+    sol = [sum(c * vec[i] for i, c in row) for row in rows]
+    chk = [0] * len(vec)
+    for s, col in zip(sol, cols):
+        if s:
+            for i, c in col:
+                chk[i] += s * c
+    return (sol, scale) if chk == [scale * v for v in vec] else None
 
 
 class CycNum:
@@ -411,7 +421,8 @@ def vector_cyc(vec: list[int], den: int) -> CycNum:
         for p in _prime_factors(n):
             sol = _solve_subfield(n, n // p, red)
             if sol is not None:
-                n, red = n // p, sol
+                n, (red, scale) = n // p, sol
+                den *= scale
                 break
         else:
             break

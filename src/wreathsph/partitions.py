@@ -199,6 +199,14 @@ class MultiPartition:
         parts = tuple(p if isinstance(p, Partition) else Partition(p) for p in parts)
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _of(cls, parts: tuple[Partition, ...]) -> "MultiPartition":
+        """The trusted constructor: parts must already be a tuple of
+        Partitions, as the enumerations here build them; nothing is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPartition is immutable")
 
@@ -261,25 +269,32 @@ def multipartitions_constrained(families, n: int) -> tuple[MultiPartition, ...]:
     families[i](w) lists the Partitions slot i may take at weight w: the
     slot weights add up to n.
     """
-    return sorted_multipartitions(choice_tuples(families, n))
+    return tuple(MultiPartition._of(t) for t in ordered_choices(families, n))
 
 
-def choice_tuples(families, n: int) -> list[tuple]:
+def ordered_choices(families, n: int) -> list[tuple]:
     """Every tuple of choices, slot i from families[i](w_i) with the w_i
-    adding up to n, in no particular order.  Each family is called once
-    per weight."""
-    opts = [[tuple(family(w)) for w in range(n + 1)] for family in families]
+    adding up to n, in sort-key order: lexicographic in the slots' parts.
+    Each family is called once per weight.
+
+    The tuples are built from the last slot back.  Each slot's options are
+    ordered by parts once, and each option goes in front of the later
+    slots' tuples of the remaining weight, which are in order already; so
+    the tuples come out in order with no sort."""
     later = [[()]] + [[] for _ in range(n)]  # later[r]: the later slots' tuples of weight r
-    for slot in range(len(families) - 1, 0, -1):
-        later = [_prepend(opts[slot], later, r) for r in range(n + 1)]
-    return _prepend(opts[0], later, n) if families else later[n]
+    if not families:
+        return later[n]
+    for family in reversed(families[1:]):
+        opts = _ordered_options(family, n)
+        later = [_prepend(opts, later, r) for r in range(n + 1)]
+    return _prepend(_ordered_options(families[0], n), later, n)
+
+
+def _ordered_options(family, n: int) -> list[tuple[int, Partition]]:
+    """(weight, choice) for every choice of weight 0..n, ordered by parts."""
+    return sorted(((w, p) for w in range(n + 1) for p in family(w)), key=lambda o: o[1].parts)
 
 
 def _prepend(opts, later, r: int) -> list[tuple]:
-    """Each choice of weight w before each later tuple of weight r - w."""
-    return [(p,) + t for w in range(r + 1) for p in opts[w] for t in later[r - w]]
-
-
-def sorted_multipartitions(tuples) -> tuple[MultiPartition, ...]:
-    """One MultiPartition per sequence of Partitions, ordered by sort key."""
-    return tuple(sorted((MultiPartition(t) for t in tuples), key=MultiPartition.sort_key))
+    """Each option of weight w <= r before each later tuple of weight r - w."""
+    return [(p,) + t for w, p in opts if w <= r for t in later[r - w]]

@@ -24,12 +24,11 @@ from .partitions import (
     EMPTY,
     MultiPartition,
     Partition,
-    choice_tuples,
     doubling,
     multipartitions,
     multipartitions_constrained,
+    ordered_choices,
     partitions_of,
-    sorted_multipartitions,
     strict_partitions,
 )
 from .symfunc import SymFuncElem, pack_key, schur_p_expr, sym_character
@@ -485,7 +484,11 @@ def irrep_label_set(
     signed = epsilon_sign(pi) == -1
     transposed: dict[tuple[int, ...], Partition] = {}  # each partner shape once
     labels = []
-    for choice in choice_tuples(families, 2 * n):
+    # eta_reps are the rows chi <= partner[chi], ascending, so a partner's
+    # entry is a function of an earlier row's: two labels first differ at
+    # a representative row, and expanding the choices, which come in sort
+    # order, keeps them in sort order.
+    for choice in ordered_choices(families, 2 * n):
         parts = [EMPTY] * len(table.rows)
         for chi, lam in zip(reps, choice):
             parts[chi] = lam
@@ -495,8 +498,8 @@ def irrep_label_set(
                         transposed[lam.parts] = lam.transpose()
                     lam = transposed[lam.parts]
                 parts[partner[chi]] = lam
-        labels.append(parts)
-    return sorted_multipartitions(labels)
+        labels.append(MultiPartition._of(tuple(parts)))
+    return tuple(labels)
 
 
 # -- one pass over the doubled-base subgroup ---------------------------------------

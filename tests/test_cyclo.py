@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 from math import lcm
@@ -12,7 +14,8 @@ from wreathsph.cyclo import (
     _phi_deg,
     _power_table,
     _prime_factors,
-    _solve_subfield,
+    _subfield_basis,
+    _subfield_inverse,
     canonicalize,
     cyc,
     parse_cyc,
@@ -198,6 +201,30 @@ def test_sum_products_matches_naive(items):
 # Values are compared as their (conductor, coeffs) data.
 
 
+def ref_solve_subfield(n: int, m: int, vec: list[Fraction]) -> list[Fraction] | None:
+    """vec over the Q(zeta_m) basis inside Q(zeta_n), if it lies there: a
+    Gaussian elimination of [B | vec] in Fractions, then the check B sol = vec."""
+    cols = _subfield_basis(n, m)
+    rows, ncols = _phi_deg(n), len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [vec[i]] for i in range(rows)]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, rows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        r += 1
+    sol = [aug[c][ncols] for c in range(ncols)]
+    chk = [sum(sol[c] * cols[c][i] for c in range(ncols)) for i in range(rows)]
+    return sol if chk == vec else None
+
+
 def ref_canonicalize(n: int, raw: dict) -> tuple[int, dict]:
     merged: dict[int, Fraction] = {}
     for k, v in raw.items():
@@ -213,7 +240,7 @@ def ref_canonicalize(n: int, raw: dict) -> tuple[int, dict]:
             n, vec = 1, [vec[0]]
             break
         for p in _prime_factors(n):
-            sol = _solve_subfield(n, n // p, vec)
+            sol = ref_solve_subfield(n, n // p, vec)
             if sol is not None:
                 n, vec = n // p, sol
                 break
@@ -298,3 +325,32 @@ def test_ring_operations_match_reference(u, v):
 )
 def test_values_written_high_descend(n, raw, expect):
     assert form(canonicalize(n, raw)) == expect == ref_canonicalize(n, raw)
+
+
+def test_descent_sweep_matches_reference_and_eliminates_once(monkeypatch):
+    # values of a random conductor d written at a multiple n of it, n up to
+    # 120, descend to the reference's form; each (n, m) subfield basis is
+    # eliminated once (its one reader is the elimination), however many
+    # values descend through it
+    import wreathsph.cyclo as cyclo
+
+    eliminated = Counter()
+    subfield_basis = cyclo._subfield_basis
+
+    def counting(n, m):
+        eliminated[n, m] += 1
+        return subfield_basis(n, m)
+
+    monkeypatch.setattr(cyclo, "_subfield_basis", counting)
+    _subfield_inverse.cache_clear()
+    rng = random.Random(23)
+    for _ in range(100):
+        n = rng.randint(3, 120)
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        raw = {
+            rng.randrange(d) * (n // d): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
+        }
+        assert form(canonicalize(n, raw)) == ref_canonicalize(n, raw), (n, raw)
+    assert set(eliminated.values()) == {1}
+    assert len(eliminated) == _subfield_inverse.cache_info().currsize > 50

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -12,6 +12,7 @@ from wreathsph.partitions import (
     from_frobenius,
     frobenius_coords,
     multipartitions,
+    multipartitions_constrained,
     odd_partitions,
     partitions_of,
     shifted_tableau_count,
@@ -219,3 +220,43 @@ def test_partition_factory_sorts(parts):
     lam = Partition(sorted(parts, reverse=True))
     assert lam.size == sum(parts)
     assert lam.mult(3) == parts.count(3)
+
+
+def sorted_choice_tuples(families, n):
+    """The reference for multipartitions_constrained: every tuple of
+    choices, slot i from families[i](w_i) with the w_i adding up to n,
+    sorted by sort key."""
+
+    def gen(slot, rest):
+        if slot == len(families):
+            if rest == 0:
+                yield ()
+            return
+        for w in range(rest + 1):
+            for p in families[slot](w):
+                for tail in gen(slot + 1, rest - w):
+                    yield (p,) + tail
+
+    return tuple(sorted((MultiPartition(t) for t in gen(0, n)), key=MultiPartition.sort_key))
+
+
+def test_constrained_enumeration_matches_sorted_reference():
+    # zero to three slots, n = 0 included, over all partitions, the empty
+    # partition alone (wreath._empty_family), no choice at all, and the
+    # even-part and odd-part families
+    from wreathsph.wreath import _empty_family, _even_parts_family, _odd_parts_family
+
+    families = (partitions_of, _empty_family, lambda w: (), _even_parts_family, _odd_parts_family)
+    for slots in range(4):
+        for combo in product(families, repeat=slots):
+            for n in range(6):
+                got = multipartitions_constrained(combo, n)
+                assert got == sorted_choice_tuples(combo, n), (combo, n)
+    assert multipartitions_constrained((), 0) == (MultiPartition(()),)
+    assert multipartitions_constrained((), 3) == ()
+
+
+def test_public_multipartition_validates_its_parts():
+    assert MultiPartition([(2, 1), ()]).parts == (Partition((2, 1)), Partition())
+    with pytest.raises(ValueError):
+        MultiPartition([(1, 2)])

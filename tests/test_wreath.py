@@ -594,15 +594,47 @@ def test_multipartitions_match_reference_generator():
 
 
 def test_irrep_label_sets_match_reference_recursion():
+    # n = 5 on c2, c4 and q8 covers the signed-pi transposes of split pairs
+    # at a weight where a shape and its transpose can both be chosen
+    for name in bundled_names():
+        group, table = bundled(name)
+        top = 5 if name in ("c2", "c4", "q8") else 4
+        for xi in linear_characters(table):
+            fus = fuse_classes(group, table, xi)
+            for pi in PI_NAMES:
+                for n in range(1, top + 1):
+                    want = reference_irrep_label_set(table, fus, xi, pi, n)
+                    assert irrep_label_set(table, fus, xi, pi, n) == want, (
+                        name, xi, pi, n
+                    )
+
+
+def assert_well_formed_labels(labels):
+    """Labels built by the trusted constructor: every part a Partition, each
+    label equal to the checked MultiPartition of its sort key and hashing
+    the same, and sort keys strictly increasing, so no duplicates."""
+    keys = [lab.sort_key() for lab in labels]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for lab in labels:
+        assert type(lab.parts) is tuple
+        assert all(type(p) is Partition for p in lab.parts)
+        checked = MultiPartition(lab.sort_key())
+        assert checked == lab and hash(checked) == hash(lab)
+
+
+def test_trusted_labels_are_well_formed():
+    for q in range(6):
+        for n in range(6):
+            assert_well_formed_labels(multipartitions(q, n))
     for name in bundled_names():
         group, table = bundled(name)
         for xi in linear_characters(table):
             fus = fuse_classes(group, table, xi)
             for pi in PI_NAMES:
                 for n in range(1, 5):
-                    want = reference_irrep_label_set(table, fus, xi, pi, n)
-                    assert irrep_label_set(table, fus, xi, pi, n) == want, (
-                        name, xi, pi, n
+                    assert_well_formed_labels(irrep_label_set(table, fus, xi, pi, n))
+                    assert_well_formed_labels(
+                        coset_label_set(table, fus, xi, epsilon_sign(pi), n)
                     )
 
 
