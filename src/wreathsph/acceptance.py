@@ -13,6 +13,7 @@ from math import factorial
 from .cyclo import CycNum, ONE, cyc, sum_products, zeta
 from .groups import (
     bundled,
+    bundled_names,
     fuse_classes,
     linear_characters,
     orthogonality_failures,
@@ -99,7 +100,7 @@ def criterion_2() -> CriterionResult:
     """Counting identities for every bundled group and linear twist."""
     t0 = time.time()
     failures = []
-    for name in ("c1", "c2", "c3", "c4", "c5", "c6", "q8", "gl2f3"):
+    for name in bundled_names():
         group, table = bundled(name)
         for xi in linear_characters(table):
             fus = fuse_classes(group, table, xi)
@@ -222,7 +223,7 @@ def criterion_6() -> CriterionResult:
     """Row and column label sets have equal size for every bundled twist."""
     t0 = time.time()
     failures = []
-    for name in ("c1", "c2", "c3", "c4", "c5", "c6", "q8", "gl2f3"):
+    for name in bundled_names():
         group, table = bundled(name)
         for xi in linear_characters(table):
             fus = fuse_classes(group, table, xi)

@@ -381,8 +381,6 @@ class MergedClass:
 class ClassFusion:
     """Merged class data and character pairing data for one linear twist."""
 
-    group_name: str
-    eta: int
     merged: tuple[MergedClass, ...]
     row_partner: tuple[int, ...]  # row index of conj(chi) * eta per row
     # twisted indicator of each row at eta: summed for self-paired rows,
@@ -458,7 +456,7 @@ def _fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassF
         "n_R_xi_rows": n_self_rows,
         "n_C_xi_rows": n_split_rows,
     }
-    return ClassFusion(group.name, eta, tuple(merged), row_partner, nu, eta_reps, stats)
+    return ClassFusion(tuple(merged), row_partner, nu, eta_reps, stats)
 
 
 # -- bundled data --------------------------------------------------------------

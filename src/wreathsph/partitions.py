@@ -58,9 +58,6 @@ class Partition:
     def __str__(self):
         return "+".join(str(p) for p in self.parts)
 
-    def mult(self, i: int) -> int:
-        return sum(1 for p in self.parts if p == i)
-
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for p in self.parts:

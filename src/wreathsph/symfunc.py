@@ -2,7 +2,7 @@
 
 Single-alphabet elements are plain dicts Partition -> Fraction over the
 p-basis; the classical families (Schur, Schur Q, Jack) are produced as
-such expansions.
+such expansions, Jack and Schur Q by one Gram-Schmidt helper.
 
 Multi-alphabet elements (SymFuncElem) carry cyclotomic coefficients and
 support the change-of-variables ring homomorphisms used to compare
@@ -37,6 +37,7 @@ from .partitions import (
     Partition,
     odd_partitions,
     partitions_of,
+    strict_partitions,
 )
 
 PExpr = dict[Partition, Fraction]
@@ -129,56 +130,21 @@ def schur_p_expr(lam: Partition) -> PExpr:
     return dict(schur_p(lam))
 
 
-# -- monomial basis plumbing -------------------------------------------------
+# -- Gram-Schmidt -----------------------------------------------------------------
 
 
-def _mono_mul_p(f: dict[Partition, Fraction], r: int) -> dict[Partition, Fraction]:
-    """Multiply an m-basis expansion by p_r."""
-    out: dict[Partition, Fraction] = {}
-    for mu, c in f.items():
-        values = set(mu.parts) | {0}
-        for v in values:
-            parts = list(mu.parts)
-            if v:
-                parts.remove(v)
-            parts.append(v + r)
-            nu = Partition(sorted(parts, reverse=True))
-            mult = nu.mult(v + r)
-            w = out.get(nu, Fraction(0)) + c * mult
-            if w:
-                out[nu] = w
-            else:
-                out.pop(nu, None)
-    return out
-
-
-@cache
-def _p_to_m(rho: Partition) -> tuple[tuple[Partition, Fraction], ...]:
-    f = {Partition(): Fraction(1)}
-    for r in rho.parts:
-        f = _mono_mul_p(f, r)
-    return tuple(sorted(f.items(), key=lambda kv: kv[0].parts))
-
-
-@cache
-def _m_to_p_table(n: int) -> dict[Partition, PExpr]:
-    """Each m_mu of weight n as a p-expansion.  p_rho is a nonzero multiple
-    of m_rho plus m_mu of partitions mu coarser than rho, and those come
-    first in partitions_of(n), so one pass in that order solves for all."""
-    out: dict[Partition, PExpr] = {}
-    for rho in partitions_of(n):
-        expr: PExpr = {rho: Fraction(1)}
-        for mu, c in _p_to_m(rho):
-            if mu == rho:
-                lead = c
-            else:
-                expr = p_add(expr, p_scale(out[mu], -c))
-        out[rho] = p_scale(expr, 1 / lead)
-    return out
-
-
-def monomial_p(mu: Partition) -> PExpr:
-    return dict(_m_to_p_table(mu.size)[mu])
+def _orthogonalize(pairs, alpha) -> dict[Partition, PExpr]:
+    """One Gram-Schmidt pass under p_inner_alpha, in the order given, over
+    (label, p-expansion) pairs: each label keeps its expansion less its
+    projections on the vectors built before it."""
+    built: dict[Partition, tuple[PExpr, Fraction]] = {}
+    for label, f in pairs:
+        for g, gnorm in built.values():
+            c = p_inner_alpha(f, g, alpha)
+            if c:
+                f = p_add(f, p_scale(g, -c / gnorm))
+        built[label] = (f, p_inner_alpha(f, f, alpha))
+    return {label: f for label, (f, _) in built.items()}
 
 
 # -- Jack symmetric functions -------------------------------------------------
@@ -186,18 +152,14 @@ def monomial_p(mu: Partition) -> PExpr:
 
 @cache
 def _jack_basis(n: int, alpha: Fraction) -> dict[Partition, PExpr]:
-    """Every Jack element of weight n at parameter alpha, unnormalized: one
-    Gram-Schmidt pass over the monomials in increasing lexicographic order,
-    a linear extension of dominance, keeping each lambda's vector."""
-    built: dict[Partition, tuple[PExpr, Fraction]] = {}
-    for lam in reversed(partitions_of(n)):
-        f = monomial_p(lam)
-        for g, gnorm in built.values():
-            c = p_inner_alpha(f, g, alpha)
-            if c:
-                f = p_add(f, p_scale(g, -c / gnorm))
-        built[lam] = (f, p_inner_alpha(f, f, alpha))
-    return {lam: f for lam, (f, _) in built.items()}
+    """Every Jack element of weight n at parameter alpha, up to scalars: one
+    Gram-Schmidt pass over the Schur functions in increasing lexicographic
+    order, a linear extension of dominance.  s_lambda is m_lambda plus
+    m_mu of mu below lambda, so the Schur functions up to lambda span the
+    monomials up to lambda, and the pass keeps the monic P_lambda."""
+    return _orthogonalize(
+        ((lam, schur_p_expr(lam)) for lam in reversed(partitions_of(n))), alpha
+    )
 
 
 @cache
@@ -234,42 +196,32 @@ def qfunc_p(r: int) -> tuple[tuple[Partition, Fraction], ...]:
     return tuple(sorted(out.items(), key=lambda kv: kv[0].parts))
 
 
-def _q_two(a: int, b: int) -> PExpr:
-    """Two-row Q for a > b >= 0."""
-    if b == 0:
-        return dict(qfunc_p(a))
-    out = p_mul(dict(qfunc_p(a)), dict(qfunc_p(b)))
-    for i in range(1, b + 1):
-        term = p_mul(dict(qfunc_p(a + i)), dict(qfunc_p(b - i)))
-        out = p_add(out, p_scale(term, Fraction(2 * (-1) ** i)))
-    return out
+def _q_product(mu: Partition) -> PExpr:
+    """q_mu, the product of the one-row generators q_r over the parts of mu."""
+    f: PExpr = {EMPTY: Fraction(1)}
+    for r in mu.parts:
+        f = p_mul(f, dict(qfunc_p(r)))
+    return f
+
+
+@cache
+def _schurq_basis(n: int) -> dict[Partition, PExpr]:
+    """Every Schur Q-function of weight n: one Gram-Schmidt pass at
+    alpha = 1/2 over the products q_mu of strict mu, most dominant first.
+    q_mu is Q_mu plus Q_nu of nu above mu in dominance (Macdonald III.8),
+    and Q_mu is orthogonal to those, so the pass returns Q_mu exactly."""
+    return _orthogonalize(
+        ((mu, _q_product(mu)) for mu in strict_partitions(n)), Fraction(1, 2)
+    )
 
 
 @cache
 def schurq_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
-    """Schur Q-function of a strict partition, by the recursive expansion of
-    its two-row building blocks along the first row."""
+    """Schur Q-function of a strict partition, read from its weight's basis."""
     if not lam.is_strict():
         raise ValueError(f"Q requires a strict partition, got {lam}")
-    out = _schurq_rows(lam.parts)
+    out = _schurq_basis(lam.size)[lam]
     return tuple(sorted(out.items(), key=lambda kv: kv[0].parts))
-
-
-def _schurq_rows(rows: tuple[int, ...]) -> PExpr:
-    rows = tuple(r for r in rows if r > 0)
-    if len(rows) == 0:
-        return {Partition(): Fraction(1)}
-    if len(rows) == 1:
-        return dict(qfunc_p(rows[0]))
-    if len(rows) == 2:
-        return _q_two(rows[0], rows[1])
-    padded = rows if len(rows) % 2 == 0 else rows + (0,)
-    out: PExpr = {}
-    for j in range(1, len(padded)):
-        rest = padded[1:j] + padded[j + 1 :]
-        term = p_mul(_q_two(padded[0], padded[j]), _schurq_rows(rest))
-        out = p_add(out, p_scale(term, Fraction((-1) ** (j + 1))))
-    return out
 
 
 def schurq_p_expr(lam: Partition) -> PExpr:

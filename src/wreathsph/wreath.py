@@ -376,9 +376,6 @@ class PairedChar:
         value = self.table.value(self.xi, _doubled_base_product(self.table.group, x.base))
         return -value if _pi_at(pi_bits(self.pi), x.perm) < 0 else value
 
-    def name(self) -> str:
-        return f"({self.table.names[self.xi]},{self.pi})"
-
 
 # -- double coset representatives ---------------------------------------------------
 

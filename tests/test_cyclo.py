@@ -354,3 +354,47 @@ def test_descent_sweep_matches_reference_and_eliminates_once(monkeypatch):
         assert form(canonicalize(n, raw)) == ref_canonicalize(n, raw), (n, raw)
     assert set(eliminated.values()) == {1}
     assert len(eliminated) == _subfield_inverse.cache_info().currsize > 50
+
+
+def test_arithmetic_matches_sympy_cyclotomic_remainders():
+    # each value written at a common conductor N as a polynomial in x = zeta_N:
+    # +, *, conjugate and == agree exactly with remainders modulo Phi_N
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(2401)
+
+    def poly(value: CycNum, n: int):
+        step = n // value.conductor
+        terms = {(k * step,): sympy.Rational(str(c)) for k, c in value.coeffs.items()}
+        return sympy.Poly.from_dict(terms or {(0,): 0}, x, domain="QQ")
+
+    def raw_poly(raw: dict, n: int):
+        terms = {}
+        for k, c in raw.items():
+            terms[(k % n,)] = terms.get((k % n,), 0) + sympy.Rational(str(c))
+        return sympy.Poly.from_dict(terms or {(0,): 0}, x, domain="QQ")
+
+    def random_raw(n: int) -> dict:
+        return {
+            rng.randrange(n): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 5))
+        }
+
+    for _ in range(60):
+        n = rng.randint(1, 48)
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+        raw_a, raw_b = random_raw(n), random_raw(n)
+        a, b = cyc(n, raw_a), cyc(n, raw_b)
+        pa, pb = raw_poly(raw_a, n), raw_poly(raw_b, n)
+        assert poly(a, n).rem(phi) == pa.rem(phi)
+        assert poly(a + b, n).rem(phi) == (pa + pb).rem(phi)
+        assert poly(a * b, n).rem(phi) == (pa * pb).rem(phi)
+        conj = {(-k) % n: c for k, c in raw_a.items()}
+        assert poly(a.conjugate(), n).rem(phi) == raw_poly(conj, n).rem(phi)
+        assert (a == b) == ((pa - pb).rem(phi) == 0)
+        # the same value written another way: raw_a plus a multiple of Phi_N
+        shift = sympy.Poly(x ** rng.randrange(n), x, domain="QQ") * phi * rng.randint(1, 3)
+        other = (pa + shift).rem(sympy.Poly(x**n - 1, x, domain="QQ"))
+        raw_c = {e: Fraction(str(c)) for (e,), c in other.as_dict().items()}
+        assert cyc(n, raw_c) == a
+        assert (cyc(n, raw_c) == a + ONE) is False

@@ -3,9 +3,12 @@ and class defined in src/wreathsph is used in the code of src/, scripts/ or
 perfbench/, outside its own definition: named, imported or reached as an
 attribute `.name`.  A public method of a class body counts only through an
 attribute access, so that a function or local of the same name does not
-count; text in strings and comments counts for none.  Every name a module
-of src/wreathsph imports is used in that module, and every name the package
-exports is defined in the module it is read from."""
+count, and a plain method (not a property) only where it is called,
+`.name(...)`, or read off its class, `Cls.name`, so that a field or
+property of the same name does not count either; text in strings and
+comments counts for none.  Every name a module of src/wreathsph imports is
+used in that module, and every name the package exports is defined in the
+module it is read from."""
 
 import ast
 from pathlib import Path
@@ -16,12 +19,21 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wreathsph"
 
 
+def is_property(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+        for d in node.decorator_list
+    )
+
+
 def public_definitions():
-    """(name, is a method defined in a class body) per public definition."""
+    """(name, kind, class name) per public definition: kind is "method" for
+    a plain method of a class body, "property" for a property there, and
+    "definition" (class name None) for any other function or class."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        methods = {
-            id(node)
+        owners = {
+            id(node): cls.name
             for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef)
             for node in cls.body
@@ -30,12 +42,19 @@ def public_definitions():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
-                    yield node.name, id(node) in methods
+                    owner = owners.get(id(node))
+                    if owner is None:
+                        yield node.name, "definition", None
+                    else:
+                        kind = "property" if is_property(node) else "method"
+                        yield node.name, kind, owner
 
 
-def code_uses(tree) -> set[tuple[str, str]]:
-    """("name", name) per name read or imported and ("attr", name) per
-    attribute access in tree, each outside a definition of that name."""
+def code_uses(tree) -> set[tuple[str, ...]]:
+    """("name", name) per name read or imported, ("attr", name) per
+    attribute access, ("call", name) per called attribute `.name(...)` and
+    ("qualified", owner, name) per attribute read off a name `owner.name`,
+    each outside a definition of that name."""
     uses = set()
 
     def visit(node, inside):
@@ -45,13 +64,29 @@ def code_uses(tree) -> set[tuple[str, str]]:
             uses.add(("name", node.id))
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
             uses.add(("attr", node.attr))
+            if isinstance(node.value, ast.Name):
+                uses.add(("qualified", node.value.id, node.attr))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             uses.update(("name", alias.name.split(".")[-1]) for alias in node.names)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr not in inside
+        ):
+            uses.add(("call", node.func.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
     visit(tree, frozenset())
     return uses
+
+
+def is_used(name: str, kind: str, owner: str | None, uses) -> bool:
+    if kind == "definition":
+        return ("name", name) in uses or ("attr", name) in uses
+    if kind == "property":
+        return ("attr", name) in uses
+    return ("call", name) in uses or ("qualified", owner, name) in uses
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -60,9 +95,9 @@ def test_every_public_name_is_used_outside_the_tests():
         for path in sorted((ROOT / top).rglob("*.py")):
             uses |= code_uses(ast.parse(path.read_text()))
     unused = [
-        name
-        for name, method in sorted(set(public_definitions()))
-        if ("attr", name) not in uses and (method or ("name", name) not in uses)
+        f"{owner}.{name}" if owner else name
+        for name, kind, owner in sorted(set(public_definitions()), key=str)
+        if not is_used(name, kind, owner, uses)
     ]
     assert unused == []
 

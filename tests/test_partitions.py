@@ -219,7 +219,7 @@ def test_multipartition_json_roundtrip():
 def test_partition_factory_sorts(parts):
     lam = Partition(sorted(parts, reverse=True))
     assert lam.size == sum(parts)
-    assert lam.mult(3) == parts.count(3)
+    assert lam.multiplicities().get(3, 0) == parts.count(3)
 
 
 def sorted_choice_tuples(families, n):

@@ -1,5 +1,6 @@
 from datetime import timedelta
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -11,7 +12,6 @@ from wreathsph.partitions import MultiPartition, Partition, partitions_of, stric
 from wreathsph.symfunc import (
     SymFuncElem,
     jack_p_expr,
-    monomial_p,
     p_add,
     p_inner_alpha,
     p_mul,
@@ -36,13 +36,101 @@ def q_inner(a, b) -> Fraction:
     return tot
 
 
+# -- references: the monomial basis and the Pfaffian Q recursion ---------------
+
+
+def mono_mul_p(f: dict, r: int) -> dict:
+    """Multiply an m-basis expansion by p_r."""
+    out = {}
+    for mu, c in f.items():
+        for v in set(mu.parts) | {0}:
+            parts = list(mu.parts)
+            if v:
+                parts.remove(v)
+            parts.append(v + r)
+            nu = P(sorted(parts, reverse=True))
+            out[nu] = out.get(nu, Fraction(0)) + c * nu.parts.count(v + r)
+    return {k: v for k, v in out.items() if v}
+
+
+@cache
+def power_in_monomials(rho: Partition) -> dict:
+    """p_rho in the monomial basis."""
+    f = {P(): Fraction(1)}
+    for r in rho.parts:
+        f = mono_mul_p(f, r)
+    return f
+
+
 def p_to_m(f) -> dict:
     """A p-expansion in the monomial basis."""
     out = {}
     for rho, c in f.items():
-        for mu, d in symfunc._p_to_m(rho):
+        for mu, d in power_in_monomials(rho).items():
             out[mu] = out.get(mu, Fraction(0)) + c * d
     return {k: v for k, v in out.items() if v}
+
+
+@cache
+def m_to_p_table(n: int) -> dict:
+    """Each m_mu of weight n as a p-expansion.  p_rho is a nonzero multiple
+    of m_rho plus m_mu of partitions mu coarser than rho, and those come
+    first in partitions_of(n), so one pass in that order solves for all."""
+    out = {}
+    for rho in partitions_of(n):
+        expr = {rho: Fraction(1)}
+        for mu, c in power_in_monomials(rho).items():
+            if mu == rho:
+                lead = c
+            else:
+                expr = p_add(expr, p_scale(out[mu], -c))
+        out[rho] = p_scale(expr, 1 / lead)
+    return out
+
+
+def monomial_p(mu: Partition) -> dict:
+    return dict(m_to_p_table(mu.size)[mu])
+
+
+def dominated(mu: Partition, lam: Partition) -> bool:
+    """mu <= lam in dominance: every partial sum of mu at most lam's."""
+    a = b = 0
+    for i in range(len(mu)):
+        a += mu[i]
+        b += lam[i] if i < len(lam) else 0
+        if a > b:
+            return False
+    return True
+
+
+def q_two(a: int, b: int) -> dict:
+    """Two-row Q for a > b >= 0."""
+    if b == 0:
+        return dict(qfunc_p(a))
+    out = p_mul(dict(qfunc_p(a)), dict(qfunc_p(b)))
+    for i in range(1, b + 1):
+        term = p_mul(dict(qfunc_p(a + i)), dict(qfunc_p(b - i)))
+        out = p_add(out, p_scale(term, Fraction(2 * (-1) ** i)))
+    return out
+
+
+def pfaffian_q(rows: tuple[int, ...]) -> dict:
+    """Q of a strict partition by the Pfaffian expansion of its two-row
+    building blocks along the first row."""
+    rows = tuple(r for r in rows if r > 0)
+    if len(rows) == 0:
+        return {P(): Fraction(1)}
+    if len(rows) == 1:
+        return dict(qfunc_p(rows[0]))
+    if len(rows) == 2:
+        return q_two(rows[0], rows[1])
+    padded = rows if len(rows) % 2 == 0 else rows + (0,)
+    out = {}
+    for j in range(1, len(padded)):
+        rest = padded[1:j] + padded[j + 1 :]
+        term = p_mul(q_two(padded[0], padded[j]), pfaffian_q(rest))
+        out = p_add(out, p_scale(term, Fraction((-1) ** (j + 1))))
+    return out
 
 
 def test_sym_character_basics():
@@ -183,21 +271,55 @@ def test_jack_duality_at_two_and_one_half():
             assert lhs == rhs, mu
 
 
-def test_jack_one_gram_schmidt_pass_per_weight(monkeypatch):
-    # every Jack function of a weight comes from one pass over its monomials
+def test_jack_monomial_support_is_dominated():
+    # J_lambda is orthogonal and has m-support only at mu <= lambda in
+    # dominance, with m_lambda present: that defines it up to a scalar
+    for alpha in (Fraction(2), Fraction(1, 2), Fraction(3)):
+        for n in range(1, 8):
+            for lam in partitions_of(n):
+                support = p_to_m(jack_p_expr(lam, alpha))
+                assert lam in support, (alpha, lam)
+                assert all(dominated(mu, lam) for mu in support), (alpha, lam)
+
+
+def test_schurq_matches_pfaffian_reference():
+    for n in range(13):
+        for mu in strict_partitions(n):
+            assert schurq_p_expr(mu) == pfaffian_q(mu.parts), mu
+
+
+def counted(monkeypatch, name) -> list:
+    """The arguments of each call of symfunc.name, from here on."""
     calls = []
-    monomial_p = symfunc.monomial_p
+    original = getattr(symfunc, name)
 
     def counting(mu):
         calls.append(mu)
-        return monomial_p(mu)
+        return original(mu)
 
-    monkeypatch.setattr(symfunc, "monomial_p", counting)
+    monkeypatch.setattr(symfunc, name, counting)
+    return calls
+
+
+def test_jack_one_gram_schmidt_pass_per_weight(monkeypatch):
+    # every Jack function of a weight comes from one pass over its Schur
+    # functions
+    calls = counted(monkeypatch, "schur_p_expr")
     symfunc.jack_p.cache_clear()
     symfunc._jack_basis.cache_clear()
     for lam in partitions_of(6):
         jack_p_expr(lam, 2)
     assert sorted(calls) == sorted(partitions_of(6))
+
+
+def test_schurq_one_gram_schmidt_pass_per_weight(monkeypatch):
+    # every Q function of a weight comes from one pass over its products q_mu
+    calls = counted(monkeypatch, "_q_product")
+    symfunc.schurq_p.cache_clear()
+    symfunc._schurq_basis.cache_clear()
+    for mu in strict_partitions(8):
+        schurq_p_expr(mu)
+    assert calls == list(strict_partitions(8))
 
 
 # -- multi-alphabet elements ----------------------------------------------------
