@@ -12,6 +12,9 @@ Engines:
   symfunc -- coefficient extraction from products of classical symmetric
              functions (Jack at 2, Schur Q, Schur) pushed through
              the change of variables onto merged-class power sums.
+A delta-type pi needs no second context: each character block sees
+wreath.block_pi(pi, nu), and where that contains delta the block is read
+at the transposed shape and sign-twisted.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .wreath import (
     IOTA,
     PairedChar,
     WreathElement,
+    block_pi,
     class_type,  # not used here; perfbench/test_tracing.py counts calls through it
     conj_theta_table,
     coset_label_set,
@@ -152,12 +156,6 @@ class SphericalContext:
             (pack_key(rho), Fraction(self.hg_size, self.col_weights[rho]))
             for rho in self.cols
         ]
-
-    @cached_property
-    def unsigned_partner(self) -> "SphericalContext":
-        """The context for the unsigned companion character (same Hecke algebra)."""
-        pi0 = delta_twin(self.pi)
-        return SphericalContext(self.group, self.table, self.xi, pi0, self.n, self.caps)
 
     # -- brute engine --------------------------------------------------------------
 
@@ -279,21 +277,14 @@ def spherical_closed(
     blocks = ctx.row_blocks(lam)
     if len(blocks) != 1:
         return None
-    if pi_bits(ctx.pi) & DELTA:
-        # sign-twisted companion: value is the sign of the representative's
-        # permutation part times the unsigned value at the transposed label
-        sgn = (-1) ** len(rho.hat())
-        val = spherical_closed(ctx.unsigned_partner, lam.transpose(), rho)
-        return None if val is None else val * sgn
     rep, partner, _ = blocks[0]
     table, fusion = ctx.table, ctx.fusion
     n = ctx.n
     rho_hat = rho.hat()
     if partner == rep:
         nu = ctx.nu(rep)
-        shape = lam[rep]
-        pi_eff = ctx.pi if nu == 1 else delta_twin(ctx.pi)
-        omega = classical_spherical(shape, pi_eff, rho_hat)
+        # the classical factor applies block_pi's sign twist itself
+        omega = classical_spherical(lam[rep], block_pi(ctx.pi, nu), rho_hat)
         if not omega:
             return ZERO
         val = CycNum.rational(Fraction(nu**n) * omega)
@@ -304,9 +295,13 @@ def spherical_closed(
             if ell:
                 val = val * table.value(rep, m.rep_element).conjugate() ** ell
         return val * Fraction(1, table.degrees[rep] ** n)
-    # split pair: character-scaled product over parts
+    # split pair: character-scaled product over parts; under delta, the
+    # sign twist of the transposed shape's character
     lam_rep = lam[rep]
-    chi_val = sym_character(lam_rep, rho_hat)
+    if pi_bits(ctx.pi) & DELTA:
+        chi_val = sym_character(lam_rep.transpose(), rho_hat) * (-1) ** len(rho_hat)
+    else:
+        chi_val = sym_character(lam_rep, rho_hat)
     dim = table.degrees[rep] ** n * lam_rep.dim_sym()
     val = CycNum.rational(Fraction(chi_val, 2**n * dim))
     for i, m in enumerate(fusion.merged):
@@ -416,36 +411,36 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
 def _block_factor(
     ctx: SphericalContext, rep: int, partner: int, shape: Partition
 ) -> SymFuncElem:
-    """The pushed classical factor of one character block, with its scalar
-    (pi = triv or iota; the sign twists go through the unsigned partner)."""
+    """The pushed classical factor of one character block, with its scalar.
+    The block sees block_pi(pi, nu); where that contains delta, the factor
+    is read at the transposed shape and sign-twisted.  On a self-paired
+    block the scalar carries nu^m: Q lies in the odd power sums, where the
+    sign twist is (-1)^m."""
     gsize, d = ctx.group.order, ctx.table.degrees[rep]
+    nu = ctx.nu(rep)  # 0 on a split pair
+    bits = pi_bits(block_pi(ctx.pi, nu))
+    own = shape.transpose() if bits & DELTA else shape
     if partner == rep:
         m = shape.size // 2
-        nu = ctx.nu(rep)
-        own = shape if nu == 1 else shape.transpose()
-        if ctx.pi == "triv":
-            # nu = -1 by Jack duality (Macdonald VI (10.24)): (-|G|/d)^m times
-            # the sign twist of Jack_mu at 2, mu half the transposed shape
-            pushed = _push_single(ctx, rep, jack_p_expr(_halve(own), 2))
-            pushed = pushed.scale(Fraction(nu * gsize, d) ** m)
-            return pushed if nu == 1 else pushed.sign_twist()
-        mu = _undouble(own)  # iota
-        f = schurq_p_expr(mu)
-        hbar = Fraction(factorial(m), shifted_tableau_count(mu))
-        scalar = Fraction(gsize, d) ** m * hbar
+        scalar = Fraction(nu * gsize, d) ** m
+        if bits & IOTA:
+            mu = _undouble(own)
+            f = schurq_p_expr(mu)
+            scalar *= Fraction(factorial(m), shifted_tableau_count(mu))
+        else:
+            f = jack_p_expr(_halve(own), 2)
     else:
         m = shape.size
-        f = schur_p_expr(shape)
-        scalar = Fraction(gsize, d) ** m * shape.hook_product()
-    return _push_single(ctx, rep, f).scale(scalar)
+        f = schur_p_expr(own)
+        scalar = Fraction(gsize, d) ** m * own.hook_product()
+    pushed = _push_single(ctx, rep, f).scale(scalar)
+    return pushed.sign_twist() if bits & DELTA else pushed
 
 
 def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
     """The predicted image (1/|subgroup|) CH(spherical function) as a product
     of classical symmetric functions, one factor per character block.  Each
     factor is pushed once per context and block, keyed by (rep, lam[rep])."""
-    if pi_bits(ctx.pi) & DELTA:
-        return ch_image_product(ctx.unsigned_partner, lam.transpose()).sign_twist()
     result = None
     for rep, partner, _w in ctx.row_blocks(lam):
         key = (rep, lam[rep])

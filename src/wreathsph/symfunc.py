@@ -380,24 +380,12 @@ class SymFuncElem:
         weight = max(self._weight, other._weight)
         return SymFuncElem._from_vectors(self.alphabet, n, out, den, weight)
 
-    def __sub__(self, other: "SymFuncElem") -> "SymFuncElem":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymFuncElem":
-        q = c.try_rational() if isinstance(c, CycNum) else Fraction(c)
-        if q is not None:
-            # a rational c scales the numerators and the denominator only
-            vecs = {k: [x * q.numerator for x in v] for k, v in self._vecs.items()}
-            den = self._den * q.denominator
-            return SymFuncElem._from_vectors(self.alphabet, self._n, vecs, den, self._weight)
-        n = lcm(self._n, c.conductor)
-        vc, dc = cyc_vector(c, n)
-        vecs = {}
-        for k, v in _lift(self._vecs, self._n, n).items():
-            acc = vecs[k] = [0] * n
-            convolve_into(acc, v, vc)
-        den = self._den * dc
-        return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, self._weight)
+    def scale(self, q: Fraction | int) -> "SymFuncElem":
+        """self times the rational q (a Fraction or an int): the numerators
+        times q's numerator, the denominator times its denominator."""
+        vecs = {k: [x * q.numerator for x in v] for k, v in self._vecs.items()}
+        den = self._den * q.denominator
+        return SymFuncElem._from_vectors(self.alphabet, self._n, vecs, den, self._weight)
 
     def __mul__(self, other: "SymFuncElem") -> "SymFuncElem":
         self._check(other)

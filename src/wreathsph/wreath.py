@@ -1,6 +1,7 @@
 """Wreath products G wr S_n: elements, class types, irreducible characters,
-the doubled-base subgroup of G wr S_2n with its linear characters, double
-coset representatives, and the induced-character decomposition machinery.
+the doubled-base subgroup of G wr S_2n with its linear characters and the
+one each character block sees (block_pi), double coset representatives,
+and the induced-character decomposition machinery.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def epsilon_sign(pi: str) -> int:
 def delta_twin(pi: str) -> str:
     """pi times delta: triv <-> delta and iota <-> delta-iota."""
     return PI_NAMES[pi_bits(pi) ^ DELTA]
+
+
+def block_pi(pi: str, nu: int) -> str:
+    """The linear character a character block sees: pi times delta on a
+    self-paired row whose twisted indicator nu is -1 (Jack duality,
+    Macdonald VI (10.24)), pi itself otherwise (nu = 1, or 0 on a split
+    pair).  Where it contains delta, the block is read at the transposed
+    shape and sign-twisted (sgn restricted to H_n is delta)."""
+    return delta_twin(pi) if nu == -1 else pi
 
 
 # -- permutations -------------------------------------------------------------
@@ -454,9 +464,9 @@ def _dsp_t_family(w: int) -> tuple[Partition, ...]:
 
 def _self_row_family(nu: int, pi: str):
     """A self-paired row's choices: doubled shapes for the unsigned pi and
-    doubled strict ones for the signed, transposed when exactly one of
-    "pi contains delta" and "nu = -1" holds."""
-    bits = pi_bits(pi) ^ (DELTA if nu == -1 else 0)
+    doubled strict ones for the signed, transposed when its block_pi
+    contains delta."""
+    bits = pi_bits(block_pi(pi, nu))
     return (_even_family, _even_t_family, _dsp_family, _dsp_t_family)[bits]
 
 

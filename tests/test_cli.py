@@ -13,6 +13,7 @@ from wreathsph.spherical import SphericalContext, build_table
 from wreathsph.wreath import PI_NAMES
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def paths(name):
@@ -94,6 +95,31 @@ def test_closed_table_at_n8_equals_the_symfunc_table(tmp_path):
             tables[engine] = json.loads(out.read_text())
             del tables[engine]["engines"]
         assert tables["closed"]["values"] and tables["closed"] == tables["symfunc"]
+
+
+@pytest.mark.parametrize(
+    "name,xi,pi,n,engines",
+    [
+        # 15 x 15 with a self-paired row of indicator -1
+        ("q8", "chi1", "delta-iota", 2, ("brute",)),
+        # split pairs and indicator -1 rows, every row a single block
+        ("gl2f3", "chi2", "delta", 1, ("brute", "closed")),
+    ],
+)
+def test_delta_type_goldens(tmp_path, name, xi, pi, n, engines):
+    # the symfunc table byte for byte, and the other engines' values
+    golden = GOLDEN / f"{name}_{xi}_{pi}_n{n}_spherical.json"
+    g, t = paths(name)
+    args = ["spherical", "--group", g, "--table", t, "--xi", xi, "--pi", pi,
+            "--n", str(n), "--format", "json"]
+    out = tmp_path / "symfunc.json"
+    assert main(args + ["--engine", "symfunc", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+    values = json.loads(golden.read_text())["values"]
+    for engine in engines:
+        out = tmp_path / f"{engine}.json"
+        assert main(args + ["--engine", engine, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["values"] == values
 
 
 def test_spherical_deterministic_bytes(tmp_path):

@@ -42,6 +42,7 @@ from test_wreath import cycle_type, hg_elements, reference_pi
 from wreathsph.wreath import (
     PI_NAMES,
     WreathElement,
+    delta_twin,
     hyperoct_perms,
     p_compose,
     p_inverse,
@@ -392,9 +393,9 @@ def test_reconcile_extra_configurations():
 )
 def test_symfunc_work_once_per_context(monkeypatch, config):
     # one push per distinct (block rep, lam[rep]) over the rows, one
-    # coset_order per column, one partner context, one image per (row,
-    # power-sum monomial) and one weight per (row, merged class, r);
-    # nothing for a second table on the same context
+    # coset_order per column, one context (delta-type pi included), one
+    # image per (row, power-sum monomial) and one weight per (row, merged
+    # class, r); nothing for a second table on the same context
     import wreathsph.spherical as spherical
 
     counts = {"push": 0, "coset_order": 0, "context": 0}
@@ -425,24 +426,17 @@ def test_symfunc_work_once_per_context(monkeypatch, config):
     monkeypatch.setattr(spherical, "fuse_classes", counting("context", fuse_classes_))
     monkeypatch.setattr(spherical, "_numerator_once", weighing)
     ctx = ctx_of(*config)
-    twisted = ctx.pi in ("delta", "delta-iota")
-    base = ctx.unsigned_partner if twisted else ctx
-    base._images = {chi: Memo() for chi in range(len(base.table.rows))}
+    ctx._images = {chi: Memo() for chi in range(len(ctx.table.rows))}
     tab = build_table(ctx, "symfunc")
     assert formed and len(formed) == len(set(formed))
     assert weights and len(weights) == len(set(weights))
     seen = (len(formed), len(weights))
-    labels = [lam.transpose() if twisted else lam for lam in ctx.rows]
-    pushed = {(rep, lam[rep]) for lam in labels for rep, _, _ in base.row_blocks(lam)}
+    pushed = {(rep, lam[rep]) for lam in ctx.rows for rep, _, _ in ctx.row_blocks(lam)}
     # the rows share factors, so a push per row block would be seen
-    assert len(pushed) < sum(len(base.row_blocks(lam)) for lam in labels)
-    expect = {
-        "push": len(pushed),
-        "coset_order": len(ctx.cols),
-        "context": 2 if twisted else 1,
-    }
+    assert len(pushed) < sum(len(ctx.row_blocks(lam)) for lam in ctx.rows)
+    expect = {"push": len(pushed), "coset_order": len(ctx.cols), "context": 1}
     assert counts == expect
-    # a second table, and every closed cell, reuse the same work and partner
+    # a second table, and every closed cell, reuse the same work and context
     assert build_table(ctx, "symfunc").values == tab.values
     assert (len(formed), len(weights)) == seen
     for lam in ctx.rows:
@@ -525,7 +519,7 @@ def test_sign_twist_relation(name, xi, n):
     # brute table against brute table, mixed rows included
     for pi in ("delta", "delta-iota"):
         ctx = ctx_of(name, xi, pi, n)
-        partner = ctx.unsigned_partner
+        partner = ctx_of(name, xi, delta_twin(pi), n)
         signed, unsigned = build_table(ctx, "brute"), build_table(partner, "brute")
         assert sorted(lam.transpose() for lam in ctx.rows) == sorted(partner.rows)
         assert ctx.cols == partner.cols
