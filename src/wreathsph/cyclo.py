@@ -453,8 +453,8 @@ def sum_products(items) -> CycNum:
     return vector_cyc(acc, den)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+)?)?\*?"
+_TERM_RE = re.compile(  # a denominator has a nonzero digit
+    r"^(?P<coef>\d+(?:/\d*[1-9]\d*)?)?\*?"
     r"(?:z\((?P<n>\d+)\)(?:\^(?P<k>\d+))?)?$"
 )
 

@@ -140,15 +140,6 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if p.is_odd())
 
 
-def frobenius_coords(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Arm and leg lengths along the main diagonal."""
-    cols = lam.transpose().parts
-    d = sum(1 for i, p in enumerate(lam.parts) if p > i)
-    arms = tuple(lam.parts[i] - i - 1 for i in range(d))
-    legs = tuple(cols[i] - i - 1 for i in range(d))
-    return arms, legs
-
-
 def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> Partition:
     d = len(arms)
     rows = list(arms[i] + i + 1 for i in range(d))

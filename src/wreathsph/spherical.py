@@ -14,7 +14,9 @@ Engines:
              the change of variables onto merged-class power sums.
 A delta-type pi needs no second context: each character block sees
 wreath.block_pi(pi, nu), and where that contains delta the block is read
-at the transposed shape and sign-twisted.
+at the transposed shape and sign-twisted.  Both formula engines read a
+self-paired block's mu off one map, wreath.self_row_shapes, which also
+gives the label sets their shapes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .groups import (
 from .partitions import (
     MultiPartition,
     Partition,
-    frobenius_coords,
     shifted_tableau_count,
 )
 from .symfunc import (
@@ -68,12 +69,12 @@ from .wreath import (
     coset_label_set,
     coset_rep,
     coset_stabilizer,
-    delta_twin,
     epsilon_sign,
     irrep_label_set,
     k_order,
     k_type_weights,
     pi_bits,
+    self_row_shapes,
     w_identity,
     wreath_character,
 )
@@ -222,52 +223,30 @@ def classical_spherical(shape: Partition, pi: str, rho_hat: Partition) -> Fracti
 @cache
 def _classical_row(shape: Partition, pi: str) -> dict[Partition, Fraction]:
     """classical_spherical at every rho_hat where it is nonzero, read off one
-    expansion per (shape, pi) (Macdonald VII.2 and III.8); z = aut_order()
-    and n = |rho|:
-      triv: 2^l(rho) z [p_rho] J^(2)_mu / (2^n n!) at the shape 2mu;
-      iota: z [p_rho] Q_mu / (2^n g^mu) at the double of a strict mu, g^mu
-            its number of standard shifted tableaux;
-    and 0 at every other shape.  sgn restricted to H_n is delta, and the
-    doubled-cycle permutation of rho_hat has sign (-1)^l(rho_hat), so a
-    delta-type pi gives that sign times its twin's value at the transposed
-    shape."""
-    bits = pi_bits(pi)
-    if bits & DELTA:
-        twin = _classical_row(shape.transpose(), delta_twin(pi))
-        return {rho: -v if len(rho) & 1 else v for rho, v in twin.items()}
-    n = shape.size // 2
-    if not bits & IOTA:
-        if not shape.is_even():
-            return {}
-        scale = Fraction(1, 2**n * factorial(n))
-        return {
-            rho: 2 ** len(rho) * rho.aut_order() * c * scale
-            for rho, c in jack_p(_halve(shape), 2)
-        }
-    try:
-        mu = _undouble(shape)
-    except ValueError:
+    expansion per (shape, pi) (Macdonald VII.2 and III.8) at the mu that
+    self_row_shapes gives the shape, and empty at every other shape;
+    z = aut_order() and n = |rho|:
+      triv: 2^l(rho) z [p_rho] J^(2)_mu / (2^n n!);
+      iota: z [p_rho] Q_mu / (2^n g^mu), g^mu the number of standard
+            shifted tableaux of mu;
+    then, under delta, times (-1)^l(rho_hat): sgn restricted to H_n is
+    delta, and the doubled-cycle permutation of rho_hat has that sign."""
+    bits, n = pi_bits(pi), shape.size // 2
+    mu = self_row_shapes(bits, n).get(shape)
+    if mu is None:
         return {}
-    scale = Fraction(1, 2**n * shifted_tableau_count(mu))
-    return {rho: rho.aut_order() * c * scale for rho, c in schurq_p(mu)}
+    if bits & IOTA:
+        scale = Fraction(1, 2**n * shifted_tableau_count(mu))
+        row = {rho: rho.aut_order() * c * scale for rho, c in schurq_p(mu)}
+    else:
+        scale = Fraction(1, 2**n * factorial(n))
+        row = {rho: 2 ** len(rho) * rho.aut_order() * c * scale for rho, c in jack_p(mu, 2)}
+    if bits & DELTA:
+        return {rho: -v if len(rho) & 1 else v for rho, v in row.items()}
+    return row
 
 
 # -- closed-form engine ------------------------------------------------------------------
-
-
-def _halve(lam: Partition) -> Partition:
-    if not lam.is_even():
-        raise ValueError(f"{lam} has an odd part")
-    return Partition(tuple(p // 2 for p in lam))
-
-
-def _undouble(lam: Partition) -> Partition:
-    """Inverse of the strict-partition doubling."""
-    arms, legs = frobenius_coords(lam)
-    mu = Partition(arms)
-    if not mu.is_strict() or legs != tuple(a - 1 for a in arms):
-        raise ValueError(f"{lam} is not a doubled shape")
-    return mu
 
 
 def spherical_closed(
@@ -404,7 +383,7 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
         return _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
 
     images = ctx._images.setdefault(chi, {})
-    single = SymFuncElem.from_p_expr(("x",), 0, f)
+    single = SymFuncElem.from_p_expr(("x",), f)
     return single.change_alphabet(coeff, ctx.merged_names, images)
 
 
@@ -412,25 +391,26 @@ def _block_factor(
     ctx: SphericalContext, rep: int, partner: int, shape: Partition
 ) -> SymFuncElem:
     """The pushed classical factor of one character block, with its scalar.
-    The block sees block_pi(pi, nu); where that contains delta, the factor
-    is read at the transposed shape and sign-twisted.  On a self-paired
-    block the scalar carries nu^m: Q lies in the odd power sums, where the
-    sign twist is (-1)^m."""
+    The block sees block_pi(pi, nu), and its factor is sign-twisted where
+    that contains delta.  A self-paired block reads its mu off
+    self_row_shapes (J^(2)_mu, or Q_mu), and its scalar carries nu^m: Q
+    lies in the odd power sums, where the sign twist is (-1)^m.  A split
+    pair reads s at its shape, transposed under delta."""
     gsize, d = ctx.group.order, ctx.table.degrees[rep]
     nu = ctx.nu(rep)  # 0 on a split pair
     bits = pi_bits(block_pi(ctx.pi, nu))
-    own = shape.transpose() if bits & DELTA else shape
     if partner == rep:
         m = shape.size // 2
+        mu = self_row_shapes(bits, m)[shape]
         scalar = Fraction(nu * gsize, d) ** m
         if bits & IOTA:
-            mu = _undouble(own)
             f = schurq_p_expr(mu)
             scalar *= Fraction(factorial(m), shifted_tableau_count(mu))
         else:
-            f = jack_p_expr(_halve(own), 2)
+            f = jack_p_expr(mu, 2)
     else:
         m = shape.size
+        own = shape.transpose() if bits & DELTA else shape
         f = schur_p_expr(own)
         scalar = Fraction(gsize, d) ** m * own.hook_product()
     pushed = _push_single(ctx, rep, f).scale(scalar)

@@ -349,10 +349,11 @@ class SymFuncElem:
         return SymFuncElem._from_vectors(tuple(alphabet), 1, {0: [1]}, 1, 0)
 
     @staticmethod
-    def from_p_expr(alphabet, slot: int, f: PExpr) -> "SymFuncElem":
+    def from_p_expr(alphabet, f: PExpr) -> "SymFuncElem":
+        """f in the power sums of the first letter of alphabet."""
         alphabet = tuple(alphabet)
         cycs = {
-            _pack_partition(rho, slot, len(alphabet)): CycNum.rational(c)
+            _pack_partition(rho, 0, len(alphabet)): CycNum.rational(c)
             for rho, c in f.items()
             if c
         }

@@ -1,7 +1,8 @@
 """Wreath products G wr S_n: elements, class types, irreducible characters,
 the doubled-base subgroup of G wr S_2n with its linear characters and the
-one each character block sees (block_pi), double coset representatives,
-and the induced-character decomposition machinery.
+one each character block sees (block_pi), the shapes of a self-paired block
+and the mu each one stands for (self_row_shapes), double coset
+representatives, and the induced-character decomposition machinery.
 """
 
 from __future__ import annotations
@@ -67,6 +68,22 @@ def block_pi(pi: str, nu: int) -> str:
     pair).  Where it contains delta, the block is read at the transposed
     shape and sign-twisted (sgn restricted to H_n is delta)."""
     return delta_twin(pi) if nu == -1 else pi
+
+
+@cache
+def self_row_shapes(bits: int, m: int) -> dict[Partition, Partition]:
+    """Shape -> mu for a self-paired block of weight 2m whose block_pi has
+    these pi_bits: the shape of mu's classical spherical function
+    (Macdonald VII.2 and III.8) is 2mu for mu |- m without iota (J^(2)_mu),
+    the double of a strict mu |- m with iota (Q_mu), transposed with
+    delta.  Its keys are the block's shapes."""
+    if bits & IOTA:
+        shapes = {doubling(mu): mu for mu in strict_partitions(m)}
+    else:
+        shapes = {Partition(tuple(2 * p for p in mu)): mu for mu in partitions_of(m)}
+    if bits & DELTA:
+        return {shape.transpose(): mu for shape, mu in shapes.items()}
+    return shapes
 
 
 # -- permutations -------------------------------------------------------------
@@ -223,7 +240,7 @@ def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncEl
                 v * Fraction(1, z) for v, z in zip(table.rows[chi], zc)
             ]
         images = table._monomial_images.setdefault(chi, {})
-        image = SymFuncElem.from_p_expr(("x",), 0, schur_p_expr(part)).change_alphabet(
+        image = SymFuncElem.from_p_expr(("x",), schur_p_expr(part)).change_alphabet(
             lambda _a, c, _r: weights[c], range(len(weights)), images
         )
         table._schur_images[key] = image
@@ -438,36 +455,11 @@ def _odd_parts_family(w: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(w) if p.is_odd())
 
 
-@cache
-def _even_family(w: int) -> tuple[Partition, ...]:
-    if w % 2:
-        return ()
-    return tuple(Partition(tuple(2 * p for p in lam)) for lam in partitions_of(w // 2))
-
-
-@cache
-def _even_t_family(w: int) -> tuple[Partition, ...]:
-    return tuple(p.transpose() for p in _even_family(w))
-
-
-@cache
-def _dsp_family(w: int) -> tuple[Partition, ...]:
-    if w % 2:
-        return ()
-    return tuple(doubling(mu) for mu in strict_partitions(w // 2))
-
-
-@cache
-def _dsp_t_family(w: int) -> tuple[Partition, ...]:
-    return tuple(p.transpose() for p in _dsp_family(w))
-
-
 def _self_row_family(nu: int, pi: str):
-    """A self-paired row's choices: doubled shapes for the unsigned pi and
-    doubled strict ones for the signed, transposed when its block_pi
-    contains delta."""
+    """A self-paired row's choices at weight w: the keys of its
+    self_row_shapes at w/2, none at odd w."""
     bits = pi_bits(block_pi(pi, nu))
-    return (_even_family, _even_t_family, _dsp_family, _dsp_t_family)[bits]
+    return lambda w: () if w % 2 else self_row_shapes(bits, w // 2)
 
 
 def _pair_family(w: int) -> tuple[Partition, ...]:

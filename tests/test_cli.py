@@ -276,6 +276,7 @@ def test_selftest_rejects_unknown_criteria(capsys):
         ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1"]]}),
         ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1", "-1"]], "names": ["a"]}),
         ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1", "-1"]], "names": ["a", "a"]}),
+        ("table", {"classes": [0, 1], "chars": [["1", "1"], ["1", "1/0"]]}),
     ],
 )
 def test_malformed_input_is_data_error(tmp_path, capsys, kind, payload):
@@ -379,6 +380,18 @@ def test_reconcile_script_sweeps_the_bundled_groups():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "all engines agree"
     assert "MISMATCH" not in proc.stdout
+
+
+# SHA-256 of scripts/output_digest.py's symfunc tables, closed cells and
+# classical values; a change that alters output on purpose updates it and
+# says why in CHANGES.md, as for a golden file.
+OUTPUT_DIGEST = "9c43223dd90b0ab09740c1987f15d904ba36ad7c0a556d39a6e383621560d558"
+
+
+def test_output_digest_script_prints_the_pinned_digest():
+    proc = run_python(str(SCRIPTS / "output_digest.py"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == OUTPUT_DIGEST + "\n"
 
 
 def test_make_tables_script_writes_one_csv_per_configuration(tmp_path):

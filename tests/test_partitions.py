@@ -10,7 +10,6 @@ from wreathsph.partitions import (
     Partition,
     doubling,
     from_frobenius,
-    frobenius_coords,
     multipartitions,
     multipartitions_constrained,
     odd_partitions,
@@ -18,6 +17,15 @@ from wreathsph.partitions import (
     shifted_tableau_count,
     strict_partitions,
 )
+
+
+def frobenius_coords(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Arm and leg lengths along the main diagonal: the oracle for doubling."""
+    cols = lam.transpose().parts
+    d = sum(1 for i, p in enumerate(lam.parts) if p > i)
+    arms = tuple(lam.parts[i] - i - 1 for i in range(d))
+    legs = tuple(cols[i] - i - 1 for i in range(d))
+    return arms, legs
 
 
 def shifted_hook_product(mu: Partition) -> Fraction:

@@ -297,7 +297,7 @@ def test_ch_image_product_grading_and_zonal_case():
 
     lam = MultiPartition([P((4,))])
     rhs = ch_image_product(ctx, lam)
-    expect = SymFuncElem.from_p_expr(ctx.merged_names, 0, jack_p_expr(P((2,)), 2))
+    expect = SymFuncElem.from_p_expr(ctx.merged_names, jack_p_expr(P((2,)), 2))
     assert rhs == expect
 
 

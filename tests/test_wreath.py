@@ -27,13 +27,22 @@ from wreathsph.groups import (
     load_table,
     twisted_indicator,
 )
-from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
+from wreathsph.partitions import (
+    MultiPartition,
+    Partition,
+    doubling,
+    multipartitions,
+    partitions_of,
+    strict_partitions,
+)
 from wreathsph.spherical import SphericalContext
 from wreathsph.wreath import (
+    DELTA,
+    IOTA,
     PI_NAMES,
     PairedChar,
-    _self_row_family,
     WreathElement,
+    block_pi,
     class_type,
     conj_theta_table,
     coset_label_set,
@@ -51,6 +60,7 @@ from wreathsph.wreath import (
     p_inverse,
     p_sign,
     perm_of_partition,
+    self_row_shapes,
     theta_type_weights,
     type_centralizer_order,
     w_embed,
@@ -62,6 +72,7 @@ from wreathsph.wreath import (
     wreath_order,
     wreath_table_json,
 )
+from test_partitions import frobenius_coords
 
 P = Partition
 RNG = random.Random(7)
@@ -546,6 +557,21 @@ def reference_multipartitions(num_slots, n):
     return tuple(sorted((MultiPartition(t) for t in gen(0, n)), key=MultiPartition.sort_key))
 
 
+def reference_self_row_shapes(pi, nu, w):
+    """A self-paired row's shapes at weight w: 2mu for mu |- w/2 under the
+    unsigned pi, the double of a strict mu |- w/2 under the signed, each
+    transposed when block_pi(pi, nu) contains delta."""
+    if w % 2:
+        return []
+    if epsilon_sign(pi) == 1:
+        shapes = [Partition(tuple(2 * p for p in mu)) for mu in partitions_of(w // 2)]
+    else:
+        shapes = [doubling(mu) for mu in strict_partitions(w // 2)]
+    if "delta" in block_pi(pi, nu):
+        return [shape.transpose() for shape in shapes]
+    return shapes
+
+
 def reference_irrep_label_set(table, fus, xi, pi, n):
     """The recursion irrep_label_set used to run: a split pair takes a shape
     of weight w for the representative row and its copy (or, for the signed
@@ -554,7 +580,7 @@ def reference_irrep_label_set(table, fus, xi, pi, n):
     for chi in fus.eta_reps:
         partner = fus.row_partner[chi]
         if partner == chi:
-            fam = _self_row_family(twisted_indicator(table, xi, chi), pi)
+            fam = partial(reference_self_row_shapes, pi, twisted_indicator(table, xi, chi))
             slots.append(("self", chi, fam))
         else:
             slots.append(("pair", chi, partner))
@@ -607,6 +633,25 @@ def test_irrep_label_sets_match_reference_recursion():
                     assert irrep_label_set(table, fus, xi, pi, n) == want, (
                         name, xi, pi, n
                     )
+
+
+def test_self_row_shapes_send_each_shape_to_its_mu():
+    # a transpose swaps the arms and legs of the Frobenius coordinates
+    for bits in range(4):
+        for m in range(7):
+            shapes = self_row_shapes(bits, m)
+            # two mu on one shape would leave one value out: the keys differ
+            assert tuple(shapes.values()) == (
+                strict_partitions(m) if bits & IOTA else partitions_of(m)
+            )
+            for shape, mu in shapes.items():
+                assert shape.size == 2 * m
+                if bits & IOTA:  # doubling's diagonal hooks (mu_i | mu_i - 1)
+                    coords = (mu.parts, tuple(p - 1 for p in mu.parts))
+                else:
+                    coords = frobenius_coords(Partition(tuple(2 * p for p in mu)))
+                arms, legs = frobenius_coords(shape)
+                assert ((legs, arms) if bits & DELTA else (arms, legs)) == coords, (bits, shape)
 
 
 def assert_well_formed_labels(labels):
