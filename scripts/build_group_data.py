@@ -205,7 +205,7 @@ def check_all():
 
     for name in bundled_names():
         group, table = bundled(name)
-        problems = validate_table(group, table)
+        problems = validate_table(table)
         assert not problems, (name, problems)
         print(f"validated {name}: order {group.order}, {len(group.classes)} classes")
 

@@ -101,10 +101,9 @@ def criterion_2() -> CriterionResult:
     t0 = time.time()
     failures = []
     for name in bundled_names():
-        group, table = bundled(name)
+        _group, table = bundled(name)
         for xi in linear_characters(table):
-            fus = fuse_classes(group, table, xi)
-            s = fus.stats
+            s = fuse_classes(table, xi).stats
             if Fraction(s["n_C"], 2) + s["n_xi"] != Fraction(s["n_C_xi_rows"], 2):
                 failures.append(f"{name}/{table.names[xi]}: class-count identity")
             if s["n_R"] - 2 * s["n_xi"] != s["n_R_xi_rows"]:
@@ -113,8 +112,8 @@ def criterion_2() -> CriterionResult:
                 "n_starstar"
             ] - s["n_xi"]:
                 failures.append(f"{name}/{table.names[xi]}: merged-count identity")
-    group, table = bundled("gl2f3")
-    s = fuse_classes(group, table, table.row_by_name("chi2")).stats
+    _group, table = bundled("gl2f3")
+    s = fuse_classes(table, table.row_by_name("chi2")).stats
     if (s["n_xi"], s["n_C"], s["n_C_xi_rows"]) != (1, 2, 4):
         failures.append(f"gl2f3 stats {s}")
     return _result(2, "counting identities, all bundled twists", t0, failures)
@@ -165,9 +164,8 @@ def criterion_4() -> CriterionResult:
     t0 = time.time()
     failures = []
     for name, group, table, xi, pi, n in _gelfand_configs():
-        fus = fuse_classes(group, table, xi)
         dec = decompose_induced(table, PairedChar(table, xi, pi, n))
-        expected = set(irrep_label_set(table, fus, xi, pi, n))
+        expected = set(irrep_label_set(table, xi, pi, n))
         if set(dec.values()) - {1}:
             failures.append(f"{name}/{table.names[xi]}/{pi}/n={n}: multiplicity > 1")
         if set(dec) != expected:
@@ -189,7 +187,6 @@ def criterion_5() -> CriterionResult:
     for name, ns in (("c2", (1, 2)), ("c3", (1, 2)), ("c4", (1, 2)), ("q8", (1, 2)),
                      ("gl2f3", (1,))):
         group, table = bundled(name)
-        fus0 = fuse_classes(group, table, 0)
         for n in ns:
             # the stabilizer members are numbered once per n and the pairs
             # kept as index pairs, so conj theta is one list per (xi, pi)
@@ -197,17 +194,15 @@ def criterion_5() -> CriterionResult:
             stabilizers = {
                 rho: [
                     (index.setdefault(h, len(index)), index.setdefault(k, len(index)))
-                    for h, k in coset_stabilizer(group, n, coset_rep(group, fus0, rho))
+                    for h, k in coset_stabilizer(group, n, coset_rep(group, rho))
                 ]
-                for rho in multipartitions(len(fus0.merged), n)
+                for rho in multipartitions(len(group.merged), n)
             }
             for xi in linear_characters(table):
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
                     conj_theta = [theta.value(g).conjugate() for g in index]
-                    legal = set(
-                        coset_label_set(table, fus0, xi, epsilon_sign(pi), n)
-                    )
+                    legal = set(coset_label_set(table, xi, epsilon_sign(pi), n))
                     for rho, pairs in stabilizers.items():
                         tot = sum_products(
                             (conj_theta[h], conj_theta[k], 1) for h, k in pairs
@@ -224,13 +219,12 @@ def criterion_6() -> CriterionResult:
     t0 = time.time()
     failures = []
     for name in bundled_names():
-        group, table = bundled(name)
+        _group, table = bundled(name)
         for xi in linear_characters(table):
-            fus = fuse_classes(group, table, xi)
             for pi in PI_NAMES:
                 for n in (1, 2, 3, 4):
-                    a = len(irrep_label_set(table, fus, xi, pi, n))
-                    b = len(coset_label_set(table, fus, xi, epsilon_sign(pi), n))
+                    a = len(irrep_label_set(table, xi, pi, n))
+                    b = len(coset_label_set(table, xi, epsilon_sign(pi), n))
                     if a != b:
                         failures.append(
                             f"{name}/{table.names[xi]}/{pi}/n={n}: {a} vs {b}"
@@ -311,7 +305,7 @@ def criterion_8() -> CriterionResult:
             flips = WreathElement((0,) * (2 * n), perm_of_partition(Partition((2,) * n)))
             theta_flips = ctx.theta.value(flips)
             identity_label = MultiPartition(
-                (1,) * n if m.rep_element == 0 else () for m in ctx.fusion.merged
+                (1,) * n if m.rep_element == 0 else () for m in group.merged
             )
             if w_mul(group, ctx.rep(identity_label), flips) != w_identity(2 * n):
                 failures.append(f"{pi}/n={n}: y(identity label) is not the identity")
@@ -331,7 +325,7 @@ def criterion_8() -> CriterionResult:
                         Fraction(h * 2 ** len(rhat), 2**n * factorial(n)) * chi
                     )
                     at_y.append((column[i], pred))
-                    in_table.append((tab.value(i, j), theta_flips * column[i]))
+                    in_table.append((tab.grid[i][j], theta_flips * column[i]))
             failures += _differ(f"{pi}/n={n}: prediction at y(rho)", at_y)
             failures += _differ(f"{pi}/n={n}: table vs theta(t0) times y(rho)", in_table)
     return _result(
@@ -351,7 +345,7 @@ def criterion_9() -> CriterionResult:
         group, table = bundled(name)
         ctx = SphericalContext(group, table, 0, "triv", n)
         total = 0
-        for rho in multipartitions(len(ctx.fusion.merged), n):
+        for rho in multipartitions(len(group.merged), n):
             f = coset_order(ctx, rho)
             b = coset_order_brute(ctx, rho)
             total += f

@@ -80,7 +80,7 @@ def _context(args, group, table) -> SphericalContext:
 def cmd_validate(args) -> int:
     group = load_group(args.group)
     table = load_table(args.table, group, validate=False)
-    problems = validate_table(group, table)
+    problems = validate_table(table)
     if problems:
         for p in problems:
             print(f"violation: {p}")

@@ -40,6 +40,15 @@ class Caps:
     max_classwork: int = 10**7
 
 
+@dataclass(frozen=True)
+class MergedClass:
+    """A conjugacy class merged with its inverse class."""
+
+    classes: tuple[int, ...]  # one index if self-inverse, else two
+    real: bool
+    rep_element: int  # minimal element index in the union
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table on 0..order-1, 0 = identity."""
 
@@ -101,6 +110,15 @@ class FiniteGroup:
         self.class_inverse = tuple(
             self.class_of[self.inv[rep]] for rep in self.class_reps
         )
+        # each class merged with its inverse class, in order of their
+        # minimal elements: the slots of every double-coset label
+        merged = []
+        for c, cinv in enumerate(self.class_inverse):
+            if cinv == c:
+                merged.append(MergedClass((c,), True, self.class_reps[c]))
+            elif c < cinv:
+                merged.append(MergedClass((c, cinv), False, self.class_reps[c]))
+        self.merged = tuple(merged)
 
     # -- element helpers ----------------------------------------------------
 
@@ -210,7 +228,6 @@ class CharacterTable:
         self._schur_images = {}  # pushed Schur factors by (row, partition)
         self._monomial_images = {}  # _pushed_schur's change_alphabet memos, by row
         self._wreath_columns = {}  # wreath_columns results by degree
-        self._class_weights = {}  # chi(c)/zeta_c per class, by row, for _pushed_schur
         self._row_reads = {}  # wreath rows' read-outs (SymFuncElem.coefficients' memo)
         self._fusions = {}  # fuse_classes results by twist
         self._tensor_rows = {}  # conj_tensor_row results by (xi, chi)
@@ -266,8 +283,10 @@ def orthogonality_failures(rows, sizes, order: int):
                 yield "column", c, d, tot
 
 
-def validate_table(group: FiniteGroup, table: CharacterTable) -> list[str]:
-    """Exact orthogonality and degree checks; returns a list of violations."""
+def validate_table(table: CharacterTable) -> list[str]:
+    """Exact orthogonality and degree checks against the table's group;
+    returns a list of violations."""
+    group = table.group
     problems = []
     k = len(group.classes)
     if len(table.rows) != k:
@@ -313,7 +332,7 @@ def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTa
     rows = [[parse_cyc(v) for v in row] for row in chars]
     table = CharacterTable(group, rows, names=obj.get("names"))
     if validate:
-        problems = validate_table(group, table)
+        problems = validate_table(table)
         if problems:
             raise GroupError(f"{group.name}: invalid character table: " + "; ".join(problems))
     return table
@@ -369,19 +388,10 @@ def twisted_indicator(table: CharacterTable, xi: int, chi: int) -> int:
 
 
 @dataclass(frozen=True)
-class MergedClass:
-    """A conjugacy class merged with its inverse class."""
-
-    classes: tuple[int, ...]  # one index if self-inverse, else two
-    real: bool
-    rep_element: int  # minimal element index in the union
-
-
-@dataclass(frozen=True)
 class ClassFusion:
-    """Merged class data and character pairing data for one linear twist."""
+    """Character pairing data for one linear twist; the merged classes it
+    counts are the group's (FiniteGroup.merged)."""
 
-    merged: tuple[MergedClass, ...]
     row_partner: tuple[int, ...]  # row index of conj(chi) * eta per row
     # twisted indicator of each row at eta: summed for self-paired rows,
     # 0 for split rows by the dichotomy, not summed
@@ -390,37 +400,22 @@ class ClassFusion:
     stats: dict
 
 
-def fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFusion:
-    """Merge classes with their inverses and pair rows chi ~ conj(chi)*eta.
+def fuse_classes(table: CharacterTable, eta: int) -> ClassFusion:
+    """Pair rows chi ~ conj(chi)*eta.
 
     Memoized on the table per eta, so each self-paired row's twisted
     indicator is computed once per (table, eta); the result is shared and
-    must not be mutated.  group must be the table's own group."""
-    if group is not table.group:
-        raise GroupError(f"fusion needs the table's own group, not another {group.name}")
+    must not be mutated."""
     fusion = table._fusions.get(eta)
     if fusion is None:
-        fusion = table._fusions[eta] = _fuse_classes(group, table, eta)
+        fusion = table._fusions[eta] = _fuse_classes(table, eta)
     return fusion
 
 
-def _fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassFusion:
+def _fuse_classes(table: CharacterTable, eta: int) -> ClassFusion:
     if table.degrees[eta] != 1:
         raise GroupError("fusion twist must be a linear character")
-    seen = set()
-    merged = []
-    for c in range(len(group.classes)):
-        if c in seen:
-            continue
-        cinv = group.class_inverse[c]
-        seen.update({c, cinv})
-        if cinv == c:
-            merged.append(MergedClass((c,), True, group.classes[c][0]))
-        else:
-            pair = tuple(sorted((c, cinv)))
-            rep = min(group.classes[c][0], group.classes[cinv][0])
-            merged.append(MergedClass(pair, False, rep))
-    merged.sort(key=lambda m: m.rep_element)
+    merged = table.group.merged
     row_partner = tuple(
         table.conj_tensor_row(eta, chi) for chi in range(len(table.rows))
     )
@@ -456,7 +451,7 @@ def _fuse_classes(group: FiniteGroup, table: CharacterTable, eta: int) -> ClassF
         "n_R_xi_rows": n_self_rows,
         "n_C_xi_rows": n_split_rows,
     }
-    return ClassFusion(tuple(merged), row_partner, nu, eta_reps, stats)
+    return ClassFusion(row_partner, nu, eta_reps, stats)
 
 
 # -- bundled data --------------------------------------------------------------

@@ -96,17 +96,21 @@ class SphericalContext:
         n: int,
         caps: Caps = Caps(),
     ):
+        if group is not table.group:
+            raise GroupError(
+                f"the context needs the table's own group, not another {group.name}"
+            )
         self.group = group
         self.table = table
         self.xi = xi
         self.pi = pi
         self.n = n
         self.caps = caps
-        self.fusion = fuse_classes(group, table, xi)
+        self.fusion = fuse_classes(table, xi)
         self.theta = PairedChar(table, xi, pi, n)
         self.sign = epsilon_sign(pi)
-        self.rows = irrep_label_set(table, self.fusion, xi, pi, n)
-        self.cols = coset_label_set(table, self.fusion, xi, self.sign, n)
+        self.rows = irrep_label_set(table, xi, pi, n)
+        self.cols = coset_label_set(table, xi, self.sign, n)
         if len(self.rows) != len(self.cols):
             raise GroupError(
                 f"label sets disagree: {len(self.rows)} rows vs {len(self.cols)} cosets"
@@ -114,7 +118,7 @@ class SphericalContext:
         work = len(self.rows) * len(self.cols)
         if work > caps.max_classwork:
             raise CapExceeded("cap-classwork", caps.max_classwork, work)
-        self.merged_names = tuple(f"R{i+1}" for i in range(len(self.fusion.merged)))
+        self.merged_names = tuple(f"R{i+1}" for i in range(len(group.merged)))
         self._weights: dict[WreathElement, dict[MultiPartition, CycNum]] = {}
         self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
         # _numerator's values, by (row, class element, r mod 2)
@@ -139,7 +143,7 @@ class SphericalContext:
         return self.fusion.nu[chi]
 
     def rep(self, rho: MultiPartition) -> WreathElement:
-        return coset_rep(self.group, self.fusion, rho)
+        return coset_rep(self.group, rho)
 
     @cached_property
     def col_weights(self) -> dict[MultiPartition, int]:
@@ -257,7 +261,7 @@ def spherical_closed(
     if len(blocks) != 1:
         return None
     rep, partner, _ = blocks[0]
-    table, fusion = ctx.table, ctx.fusion
+    table, merged = ctx.table, ctx.group.merged
     n = ctx.n
     rho_hat = rho.hat()
     if partner == rep:
@@ -269,7 +273,7 @@ def spherical_closed(
         val = CycNum.rational(Fraction(nu**n) * omega)
         # the averaging engine fixes the orientation: the character is taken
         # at the inverse of the chosen class representative
-        for i, m in enumerate(fusion.merged):
+        for i, m in enumerate(merged):
             ell = len(rho[i])
             if ell:
                 val = val * table.value(rep, m.rep_element).conjugate() ** ell
@@ -283,7 +287,7 @@ def spherical_closed(
         chi_val = sym_character(lam_rep, rho_hat)
     dim = table.degrees[rep] ** n * lam_rep.dim_sym()
     val = CycNum.rational(Fraction(chi_val, 2**n * dim))
-    for i, m in enumerate(fusion.merged):
+    for i, m in enumerate(merged):
         for part, mult in rho[i].multiplicities().items():
             val = val * _numerator_once(ctx, rep, m.rep_element, part) ** mult
     return val
@@ -295,7 +299,7 @@ def spherical_closed(
 def coset_order(ctx: SphericalContext, rho: MultiPartition) -> int:
     """Order of the double coset with the given label, by the product formula."""
     total = Fraction(ctx.hg_size**2)
-    for i, m in enumerate(ctx.fusion.merged):
+    for i, m in enumerate(ctx.group.merged):
         part = rho[i]
         zc = ctx.group.centralizer_orders[m.classes[0]]
         if m.real:
@@ -321,7 +325,7 @@ def _radical_factor(ctx: SphericalContext, rho: MultiPartition) -> int:
     if ctx.sign == 1:
         return 1
     out = 1
-    for i, m in enumerate(ctx.fusion.merged):
+    for i, m in enumerate(ctx.group.merged):
         if m.real:
             out *= 2 ** len(rho[i])
     return out
@@ -373,11 +377,10 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
     ctx._images[chi], so each power-sum monomial is pushed once per
     (context, chi).
     """
-    fusion = ctx.fusion
-    self_paired = fusion.row_partner[chi] == chi
+    self_paired = ctx.fusion.row_partner[chi] == chi
 
     def coeff(_a, b, r):
-        m = fusion.merged[ctx.merged_names.index(b)]
+        m = ctx.group.merged[ctx.merged_names.index(b)]
         k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
         zc = ctx.group.centralizer_orders[m.classes[0]]
         return _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
@@ -525,9 +528,6 @@ class SphericalTable:
     @property
     def values(self) -> TableCells:
         return TableCells(self.grid, len(self.cols))
-
-    def value(self, i: int, j: int) -> CycNum:
-        return self.grid[i][j]
 
     def row_label_json(self, i: int) -> dict:
         return self.rows[i].to_json(self.char_names)

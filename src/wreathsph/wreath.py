@@ -18,9 +18,9 @@ from .groups import (
     Caps,
     CapExceeded,
     CharacterTable,
-    ClassFusion,
     FiniteGroup,
     GroupError,
+    fuse_classes,
 )
 from .partitions import (
     EMPTY,
@@ -227,21 +227,16 @@ def wreath_dim(table: CharacterTable, lam: MultiPartition) -> int:
 
 def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncElem:
     """s_part pushed into the class alphabet by p_r(chi) -> sum_c chi(c)/zeta_c
-    p_r(c), memoized on the table.  The weights chi(c)/zeta_c depend on
-    neither the part nor r, so they are formed once per (table, chi), and
-    each power-sum monomial is pushed once per (table, chi)."""
+    p_r(c), memoized on the table.  Each power-sum monomial is pushed once
+    per (table, chi), so each weight chi(c)/zeta_c is formed once per
+    (table, chi, c, r)."""
     key = (chi, part)
     image = table._schur_images.get(key)
     if image is None:
-        weights = table._class_weights.get(chi)
-        if weights is None:
-            zc = table.group.centralizer_orders
-            weights = table._class_weights[chi] = [
-                v * Fraction(1, z) for v, z in zip(table.rows[chi], zc)
-            ]
+        row, zc = table.rows[chi], table.group.centralizer_orders
         images = table._monomial_images.setdefault(chi, {})
         image = SymFuncElem.from_p_expr(("x",), schur_p_expr(part)).change_alphabet(
-            lambda _a, c, _r: weights[c], range(len(weights)), images
+            lambda _a, c, _r: row[c] * Fraction(1, zc[c]), range(len(row)), images
         )
         table._schur_images[key] = image
     return image
@@ -407,14 +402,12 @@ class PairedChar:
 # -- double coset representatives ---------------------------------------------------
 
 
-def coset_rep(
-    group: FiniteGroup, fusion: ClassFusion, rho: MultiPartition
-) -> WreathElement:
+def coset_rep(group: FiniteGroup, rho: MultiPartition) -> WreathElement:
     """The chosen representative: per part p at merged class R, a block of
     length 2p with base (1, ..., 1, g_R) and the full cycle on the block."""
     blocks = []
     for i, part in enumerate(rho):
-        g = fusion.merged[i].rep_element
+        g = group.merged[i].rep_element
         for p in part:
             size = 2 * p
             base = (0,) * (size - 1) + (g,)
@@ -425,7 +418,7 @@ def coset_rep(
 
 
 def coset_label_set(
-    table: CharacterTable, fusion: ClassFusion, xi: int, sign: int, n: int
+    table: CharacterTable, xi: int, sign: int, n: int
 ) -> tuple[MultiPartition, ...]:
     """Multipartitions over merged classes indexing nonvanishing double cosets."""
     minus_one = CycNum.rational(-1)
@@ -438,7 +431,7 @@ def coset_label_set(
             return partitions_of
         return _even_parts_family if xi_neg else _odd_parts_family
 
-    return multipartitions_constrained([family(m) for m in fusion.merged], n)
+    return multipartitions_constrained([family(m) for m in table.group.merged], n)
 
 
 def _empty_family(w: int) -> tuple[Partition, ...]:
@@ -468,13 +461,14 @@ def _pair_family(w: int) -> tuple[Partition, ...]:
 
 
 def irrep_label_set(
-    table: CharacterTable, fusion: ClassFusion, xi: int, pi: str, n: int
+    table: CharacterTable, xi: int, pi: str, n: int
 ) -> tuple[MultiPartition, ...]:
     """Multipartitions over character rows indexing the components of the
     induced character of the paired subgroup.  There is one slot per
     representative row; a split pair gives its partner the same shape, or
-    its transpose for the signed pi.  The indicators at xi are read from
-    the fusion, which is taken at xi."""
+    its transpose for the signed pi.  The pairing and indicators are read
+    from the table's fusion at xi."""
+    fusion = fuse_classes(table, xi)
     reps, partner = fusion.eta_reps, fusion.row_partner
     families = [
         _self_row_family(fusion.nu[chi], pi) if partner[chi] == chi else _pair_family
@@ -610,7 +604,13 @@ def decompose_induced(
 
     The type weights sum_tau W(tau) P_tau are pushed into the character
     alphabets by the inverse map p_r(c) -> sum_chi chi(c) p_r(chi); then
-    m_lam = (1/|K|) sum_rho a_rho prod_chi chi^lam(chi)(rho(chi))."""
+    m_lam = (1/|K|) sum_rho a_rho prod_chi chi^lam(chi)(rho(chi)).  theta
+    must be built on this table."""
+    if theta.table is not table:
+        raise GroupError(
+            f"theta is built on the {theta.table.group.name} table, "
+            f"not the {table.group.name} table it is decomposed over"
+        )
     group = table.group
     hg_size = k_order(group, theta.n)
     weights = theta_type_weights(theta, caps)

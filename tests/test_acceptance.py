@@ -32,9 +32,11 @@ def test_criterion_5_names_a_dropped_or_added_label(monkeypatch):
     for drop in (True, False):
         edited = []
 
-        def coset_label_set(table, fusion, xi, sign, n):
-            labels = list(real(table, fusion, xi, sign, n))
-            illegal = [r for r in multipartitions(len(fusion.merged), n) if r not in labels]
+        def coset_label_set(table, xi, sign, n):
+            labels = list(real(table, xi, sign, n))
+            illegal = [
+                r for r in multipartitions(len(table.group.merged), n) if r not in labels
+            ]
             if edited:
                 return tuple(labels)
             if drop and labels:

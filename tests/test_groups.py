@@ -21,6 +21,7 @@ from wreathsph.groups import (
     twisted_indicator,
     validate_table,
 )
+from wreathsph.spherical import SphericalContext
 
 
 def element_order(group, x: int) -> int:
@@ -40,7 +41,7 @@ def test_load_cyclic_from_perm_gens():
 def test_bundled_groups_load_and_validate():
     for name in bundled_names():
         group, table = bundled(name)
-        assert validate_table(group, table) == []
+        assert validate_table(table) == []
     g, _ = bundled("q8")
     assert g.order == 8 and len(g.classes) == 5
     g, _ = bundled("gl2f3")
@@ -77,7 +78,7 @@ def test_corrupted_table_reports_violation():
     with pytest.raises(GroupError):
         load_table(obj, group)
     table = load_table(obj, group, validate=False)
-    assert validate_table(group, table) == [
+    assert validate_table(table) == [
         "row orthogonality fails at rows (0,4): 4",
         "row orthogonality fails at rows (1,4): 4",
         "row orthogonality fails at rows (2,4): 4",
@@ -96,22 +97,40 @@ def test_linear_character_counts():
 
 
 def test_fusion_examples():
-    g6, t6 = bundled("c6")
-    f = fuse_classes(g6, t6, 1)
+    _, t6 = bundled("c6")
+    f = fuse_classes(t6, 1)
     assert f.stats["n_starstar"] == 4
     assert f.stats["n_eta_starstar"] == 3
     # odd-order abelian groups: every non-identity class is complex
     for name in ("c3", "c5"):
         g, t = bundled(name)
-        f = fuse_classes(g, t, 0)
+        f = fuse_classes(t, 0)
         assert f.stats["n_C"] == g.order - 1
 
 
 def test_fusion_is_memoized_on_the_table_and_needs_its_group():
-    g, t = bundled("c6")
-    assert fuse_classes(g, t, 1) is fuse_classes(g, t, 1)
-    with pytest.raises(GroupError):
-        fuse_classes(load_group(bundled_group_path("c6")), t, 1)
+    # the fusion reads the table's own group, so a context refuses any other
+    # group object, even one loaded from the same file
+    _, t = bundled("c6")
+    assert fuse_classes(t, 1) is fuse_classes(t, 1)
+    with pytest.raises(GroupError, match="table's own group"):
+        SphericalContext(load_group(bundled_group_path("c6")), t, 1, "triv", 1)
+
+
+def test_merged_classes_pair_each_class_with_its_inverse():
+    for name in bundled_names():
+        group, _ = bundled(name)
+        merged = group.merged
+        # a partition of the classes into {c, c^-1}, real exactly when c = c^-1
+        assert sorted(c for m in merged for c in m.classes) == list(range(len(group.classes)))
+        for m in merged:
+            c = m.classes[0]
+            assert m.classes == tuple(sorted({c, group.class_inverse[c]}))
+            assert m.real == (group.class_inverse[c] == c)
+            assert m.rep_element == min(group.classes[d][0] for d in m.classes)
+        reps = [m.rep_element for m in merged]
+        assert reps == sorted(reps)
+
 
 def test_linear_characters_checked_once_per_table(monkeypatch):
     group = load_group(bundled_group_path("q8"))
@@ -151,7 +170,7 @@ def test_tensor_rows_found_once_per_pair(monkeypatch):
         return conjugate(x)
 
     monkeypatch.setattr(CycNum, "conjugate", counting)
-    fusion = fuse_classes(group, table, xi)
+    fusion = fuse_classes(table, xi)
     self_rows = [chi for chi, p in enumerate(fusion.row_partner) if p == chi]
     # one conj(chi) per class for each row's partner, then one conj(xi(x))
     # per element for each self-paired row's indicator sum; the indicator's
@@ -168,13 +187,13 @@ def test_tensor_rows_found_once_per_pair(monkeypatch):
 
 def test_gl2f3_fusion_stats():
     g, t = bundled("gl2f3")
-    f = fuse_classes(g, t, t.row_by_name("chi2"))
+    f = fuse_classes(t, t.row_by_name("chi2"))
     assert f.stats["n_xi"] == 1
     assert f.stats["n_C"] == 2
     assert f.stats["n_C_xi_rows"] == 4
     # the two order-8 classes are mutually inverse and merge; all other
     # classes are self-inverse (recomputed from the group, not assumed)
-    complex_merged = [m for m in f.merged if not m.real]
+    complex_merged = [m for m in g.merged if not m.real]
     assert len(complex_merged) == 1 and len(complex_merged[0].classes) == 2
     reps = {element_order(g, g.classes[c][0]) for c in complex_merged[0].classes}
     assert reps == {8}
@@ -206,7 +225,7 @@ def test_counting_identities_everywhere():
     for name in bundled_names():
         group, table = bundled(name)
         for xi in linear_characters(table):
-            s = fuse_classes(group, table, xi).stats
+            s = fuse_classes(table, xi).stats
             assert Fraction(s["n_C"], 2) + s["n_xi"] == Fraction(s["n_C_xi_rows"], 2)
             assert s["n_R"] - 2 * s["n_xi"] == s["n_R_xi_rows"]
             assert s["n_R_xi_rows"] + Fraction(s["n_C_xi_rows"], 2) == (

@@ -8,7 +8,8 @@ count, and a plain method (not a property) only where it is called,
 property of the same name does not count either; text in strings and
 comments counts for none.  Every name a module of src/wreathsph imports is
 used in that module, and every name the package exports is defined in the
-module it is read from."""
+module it is read from, and every named parameter of a function there is
+read in its body."""
 
 import ast
 from pathlib import Path
@@ -134,3 +135,27 @@ def test_every_export_is_defined_in_its_module():
         }
         misplaced += [f"{module}.{name}" for name in names if name not in defined]
     assert misplaced == []
+
+
+def test_every_parameter_is_read():
+    # self, cls, _-prefixed names, *args, **kwargs and lambdas are exempt
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.stem}.{node.name}({arg.arg})"
+                for arg in args.posonlyargs + args.args + args.kwonlyargs
+                if arg.arg not in read
+                and arg.arg not in ("self", "cls")
+                and not arg.arg.startswith("_")
+            ]
+    assert unread == []

@@ -190,21 +190,21 @@ def test_coset_orders():
     for name, n in (("c2", 1), ("c4", 1), ("q8", 1), ("c2", 2)):
         ctx = ctx_of(name, 0, "triv", n)
         total = 0
-        for rho in multipartitions(len(ctx.fusion.merged), n):
+        for rho in multipartitions(len(ctx.group.merged), n):
             f = coset_order(ctx, rho)
             assert f == coset_order_brute(ctx, rho)
             total += f
         assert total == wreath_order(ctx.group, 2 * n)
         # identity label: the coset is the subgroup itself
         ident = MultiPartition(
-            [P((1,) * n) if i == 0 else P() for i in range(len(ctx.fusion.merged))]
+            [P((1,) * n) if i == 0 else P() for i in range(len(ctx.group.merged))]
         )
         assert coset_order(ctx, ident) == ctx.hg_size
     # orbit-stabilizer against the orbit itself
     for name, n in (("c2", 1), ("c2", 2), ("q8", 1), ("gl2f3", 1)):
         ctx = ctx_of(name, 0, "triv", n)
         hg = hg_elements(ctx.group, n)
-        for rho in multipartitions(len(ctx.fusion.merged), n):
+        for rho in multipartitions(len(ctx.group.merged), n):
             orbit = reference_double_coset(ctx.group, hg, ctx.rep(rho))
             assert coset_order_brute(ctx, rho) == len(orbit), (name, n, rho)
 
@@ -212,7 +212,7 @@ def test_coset_orders():
 def test_coset_order_brute_refuses_k_over_the_element_cap():
     group, table = bundled("c2")
     ctx = SphericalContext(group, table, 0, "triv", 2, Caps(max_elements=31))
-    rho = multipartitions(len(ctx.fusion.merged), 2)[0]
+    rho = multipartitions(len(ctx.group.merged), 2)[0]
     with pytest.raises(CapExceeded) as exc:
         coset_order_brute(ctx, rho)
     assert exc.value.cap_name == "cap-elements" and exc.value.actual == 32
@@ -359,7 +359,7 @@ def test_closed_equals_symfunc_wherever_closed_answers(name):
                     for j, rho in enumerate(ctx.cols):
                         closed = spherical_closed(ctx, lam, rho)
                         if closed is not None:
-                            assert closed == sym.value(i, j), (name, xi, pi, n, lam, rho)
+                            assert closed == sym.grid[i][j], (name, xi, pi, n, lam, rho)
                             answered += 1
                 assert answered, (name, xi, pi, n)
 
@@ -476,7 +476,7 @@ def test_symfunc_read_out_once_per_context(monkeypatch, config):
             vec = image._vecs.get(key)
             if vec is not None:
                 read_out = (tuple(vec), image._den, scale.numerator, scale.denominator)
-                cells.setdefault(read_out, []).append(tab.value(i, j))
+                cells.setdefault(read_out, []).append(tab.grid[i][j])
     # the rows share read-outs, so a reduction per cell would be seen
     assert len(cells) < sum(map(len, cells.values()))
     assert 0 < reductions[0] <= len(cells)
@@ -527,7 +527,7 @@ def test_sign_twist_relation(name, xi, n):
             k = partner.rows.index(lam.transpose())
             for j, rho in enumerate(ctx.cols):
                 sign = (-1) ** len(rho.hat())
-                assert signed.value(i, j) == unsigned.value(k, j) * sign, (pi, lam, rho)
+                assert signed.grid[i][j] == unsigned.grid[k][j] * sign, (pi, lam, rho)
 
 
 def test_spherical_orthogonality():
@@ -539,8 +539,8 @@ def test_spherical_orthogonality():
                 tot = ZERO
                 for k, rho in enumerate(ctx.cols):
                     tot = tot + (
-                        tab.value(i, k)
-                        * tab.value(j, k).conjugate()
+                        tab.grid[i][k]
+                        * tab.grid[j][k].conjugate()
                         * Fraction(coset_order(ctx, rho))
                     )
                 if i != j:
@@ -576,7 +576,7 @@ def test_values_is_a_row_major_mapping_over_the_grid(engine):
     assert len(values) == rows * cols == 9
     assert list(values) == [(i, j) for i in range(rows) for j in range(cols)]
     for (i, j), v in values.items():
-        assert v is values[(i, j)] is tab.value(i, j) is tab.grid[i][j]
+        assert v is values[(i, j)] is tab.grid[i][j]
     for outside in [(rows, 0), (0, cols), (-1, 0), (0, -1)]:
         assert outside not in values and values.get(outside) is None
     with pytest.raises(TypeError):

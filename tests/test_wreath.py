@@ -447,19 +447,17 @@ def test_block_permutation_anchor():
 
 
 def test_coset_rep_anchor_order4_group():
-    group, table = bundled("c4")
-    fus = fuse_classes(group, table, 0)
+    group, _ = bundled("c4")
     rho = MultiPartition([P(), P((1,)), P((2, 1))])
-    x = coset_rep(group, fus, rho)
+    x = coset_rep(group, rho)
     assert x.base == (0, 1, 0, 0, 0, 2, 0, 2)
     assert tuple(v + 1 for v in x.perm) == (2, 1, 4, 5, 6, 3, 8, 7)
 
 
 def test_coset_rep_identity_pattern():
-    group, table = bundled("c2")
-    fus = fuse_classes(group, table, 0)
+    group, _ = bundled("c2")
     rho = MultiPartition([P((1, 1, 1)), P()])
-    x = coset_rep(group, fus, rho)
+    x = coset_rep(group, rho)
     assert x.base == (0,) * 6
     assert tuple(v + 1 for v in x.perm) == (2, 1, 4, 3, 6, 5)
 
@@ -468,11 +466,10 @@ def test_coset_stabilizer_of_inverse_has_same_size():
     # the pairs are those of K x K with h x k = x, in the order of K; K x^-1 K
     # is the inverse of KxK, so both have the same size
     for name, n in (("c2", 2), ("q8", 1)):
-        group, table = bundled(name)
+        group, _ = bundled(name)
         hg = hg_elements(group, n)
-        fus = fuse_classes(group, table, 0)
         points = [random_element(group, 2 * n) for _ in range(6)] + [
-            coset_rep(group, fus, rho) for rho in multipartitions(len(fus.merged), n)
+            coset_rep(group, rho) for rho in multipartitions(len(group.merged), n)
         ]
         for x in points:
             pairs = coset_stabilizer(group, n, x)
@@ -520,11 +517,10 @@ def test_explicit_wreath_identities():
 
 
 def test_index_sets_q8_shape():
-    group, table = bundled("q8")
-    fus = fuse_classes(group, table, 1)
+    _, table = bundled("q8")
     for pi in ("triv", "iota"):
         for n in (1, 2):
-            for lam in irrep_label_set(table, fus, 1, pi, n):
+            for lam in irrep_label_set(table, 1, pi, n):
                 # shape (a, a, b, b, doubled-ish) up to the pairing convention
                 assert lam[0] == lam[1] or lam[0] == lam[1].transpose()
                 assert lam[2] == lam[3] or lam[2] == lam[3].transpose()
@@ -533,9 +529,8 @@ def test_index_sets_q8_shape():
 
 
 def test_index_sets_trivial_group():
-    group, table = bundled("c1")
-    fus = fuse_classes(group, table, 0)
-    labels = irrep_label_set(table, fus, 0, "triv", 2)
+    _, table = bundled("c1")
+    labels = irrep_label_set(table, 0, "triv", 2)
     assert {l[0] for l in labels} == {P((4,)), P((2, 2))}
 
 
@@ -572,10 +567,11 @@ def reference_self_row_shapes(pi, nu, w):
     return shapes
 
 
-def reference_irrep_label_set(table, fus, xi, pi, n):
+def reference_irrep_label_set(table, xi, pi, n):
     """The recursion irrep_label_set used to run: a split pair takes a shape
     of weight w for the representative row and its copy (or, for the signed
     pi, its transpose) for the partner, using 2w of the total weight."""
+    fus = fuse_classes(table, xi)
     slots = []
     for chi in fus.eta_reps:
         partner = fus.row_partner[chi]
@@ -623,14 +619,13 @@ def test_irrep_label_sets_match_reference_recursion():
     # n = 5 on c2, c4 and q8 covers the signed-pi transposes of split pairs
     # at a weight where a shape and its transpose can both be chosen
     for name in bundled_names():
-        group, table = bundled(name)
+        _, table = bundled(name)
         top = 5 if name in ("c2", "c4", "q8") else 4
         for xi in linear_characters(table):
-            fus = fuse_classes(group, table, xi)
             for pi in PI_NAMES:
                 for n in range(1, top + 1):
-                    want = reference_irrep_label_set(table, fus, xi, pi, n)
-                    assert irrep_label_set(table, fus, xi, pi, n) == want, (
+                    want = reference_irrep_label_set(table, xi, pi, n)
+                    assert irrep_label_set(table, xi, pi, n) == want, (
                         name, xi, pi, n
                     )
 
@@ -672,24 +667,24 @@ def test_trusted_labels_are_well_formed():
         for n in range(6):
             assert_well_formed_labels(multipartitions(q, n))
     for name in bundled_names():
-        group, table = bundled(name)
+        _, table = bundled(name)
         for xi in linear_characters(table):
-            fus = fuse_classes(group, table, xi)
             for pi in PI_NAMES:
                 for n in range(1, 5):
-                    assert_well_formed_labels(irrep_label_set(table, fus, xi, pi, n))
+                    assert_well_formed_labels(irrep_label_set(table, xi, pi, n))
                     assert_well_formed_labels(
-                        coset_label_set(table, fus, xi, epsilon_sign(pi), n)
+                        coset_label_set(table, xi, epsilon_sign(pi), n)
                     )
 
 
-def reference_coset_label_set(table, fus, xi, sign, n):
+def reference_coset_label_set(table, xi, sign, n):
     """The per-call slot families coset_label_set used to build, enumerated
     slot by slot and sorted once."""
     minus_one = CycNum.rational(-1)
+    merged = table.group.merged
 
     def family(i):
-        m = fus.merged[i]
+        m = merged[i]
         xi_neg = m.real and table.value(xi, m.rep_element) == minus_one
         if sign > 0:
             if xi_neg:
@@ -701,7 +696,7 @@ def reference_coset_label_set(table, fus, xi, sign, n):
             return lambda w: tuple(p for p in partitions_of(w) if p.is_even())
         return lambda w: tuple(p for p in partitions_of(w) if p.is_odd())
 
-    families = [family(i) for i in range(len(fus.merged))]
+    families = [family(i) for i in range(len(merged))]
 
     def gen(slot, rest):
         if slot == len(families):
@@ -718,13 +713,12 @@ def reference_coset_label_set(table, fus, xi, sign, n):
 
 def test_coset_label_sets_match_reference_families():
     for name in bundled_names():
-        group, table = bundled(name)
+        _, table = bundled(name)
         for xi in linear_characters(table):
-            fus = fuse_classes(group, table, xi)
             for sign in (1, -1):
                 for n in range(1, 5):
-                    want = reference_coset_label_set(table, fus, xi, sign, n)
-                    assert coset_label_set(table, fus, xi, sign, n) == want, (
+                    want = reference_coset_label_set(table, xi, sign, n)
+                    assert coset_label_set(table, xi, sign, n) == want, (
                         name, xi, sign, n
                     )
 
@@ -752,12 +746,12 @@ def test_label_sets_evaluate_each_indicator_once(monkeypatch):
     xi = table.row_by_name("chi2")
     for pi in PI_NAMES:
         for n in range(1, 5):
-            fus = fuse_classes(group, table, xi)
-            irrep_label_set(table, fus, xi, pi, n)
-            coset_label_set(table, fus, xi, epsilon_sign(pi), n)
+            irrep_label_set(table, xi, pi, n)
+            coset_label_set(table, xi, epsilon_sign(pi), n)
             ctx = SphericalContext(group, table, xi, pi, n)
             assert [ctx.nu(chi) for chi in range(8)] == [0, 0, -1, 0, 0, -1, -1, -1]
-    assert calls == Counter(chi for chi in range(8) if fus.row_partner[chi] == chi)
+    partner = fuse_classes(table, xi).row_partner
+    assert calls == Counter(chi for chi in range(8) if partner[chi] == chi)
 
 
 def test_bundled_pairs_load_once(monkeypatch):
@@ -805,6 +799,14 @@ def test_decompose_dimension_bookkeeping():
             dec = decompose_induced(table, PairedChar(table, xi, pi, n))
             index = wreath_order(group, 2 * n) // (group.order**n * 2**n * factorial(n))
             assert sum(wreath_dim(table, lam) for lam in dec) == index
+
+
+def test_decompose_refuses_theta_on_another_table():
+    # c5 and q8 both have 5 classes, so the class alphabets alone agree
+    _, c5 = bundled("c5")
+    _, q8 = bundled("q8")
+    with pytest.raises(GroupError, match="built on the q8 table, not the c5 table"):
+        decompose_induced(c5, PairedChar(q8, 1, "triv", 1))
 
 
 @pytest.mark.parametrize("name", ["c4", "q8"])
@@ -911,9 +913,8 @@ def test_k_type_weights_matches_per_element_reference(name, n):
             outside.append(x)
     types_at = {}
     for xi in linear_characters(table):
-        fusion = fuse_classes(group, table, xi)
         points = [w_identity(2 * n), *outside] + [
-            coset_rep(group, fusion, rho) for rho in multipartitions(len(fusion.merged), n)
+            coset_rep(group, rho) for rho in multipartitions(len(group.merged), n)
         ]
         if len(hg) > 4096:
             points = rng.sample(points, 2)
@@ -936,14 +937,13 @@ def test_k_type_weights_matches_per_element_reference(name, n):
 
 def test_hecke_vanishing_small():
     group, table = bundled("c4")
-    fus = fuse_classes(group, table, 0)
     hg = hg_elements(group, 1)
     for xi in (0, 2):
         for pi in ("triv", "iota"):
             theta = PairedChar(table, xi, pi, 1)
-            legal = set(coset_label_set(table, fus, xi, epsilon_sign(pi), 1))
-            for rho in multipartitions(len(fus.merged), 1):
-                v = hecke_basis_value(group, theta, coset_rep(group, fus, rho), hg)
+            legal = set(coset_label_set(table, xi, epsilon_sign(pi), 1))
+            for rho in multipartitions(len(group.merged), 1):
+                v = hecke_basis_value(group, theta, coset_rep(group, rho), hg)
                 assert bool(v) == (rho in legal)
 
 
@@ -951,11 +951,10 @@ def test_trivial_twist_stabilizer_sums_never_vanish():
     # at n = 1 the sum is |K n xKx^-1| = |K|^2 / |KxK|: 2 zeta_c at a real
     # merged class c, zeta_c at a complex one
     group, table = bundled("q8")
-    fus = fuse_classes(group, table, 0)
     theta = PairedChar(table, 0, "triv", 1)
-    for i, m in enumerate(fus.merged):
-        rho = MultiPartition([P((1,)) if j == i else P() for j in range(len(fus.merged))])
-        pairs = coset_stabilizer(group, 1, coset_rep(group, fus, rho))
+    for i, m in enumerate(group.merged):
+        rho = MultiPartition([P((1,)) if j == i else P() for j in range(len(group.merged))])
+        pairs = coset_stabilizer(group, 1, coset_rep(group, rho))
         tot = sum_products(
             (theta.value(h).conjugate(), theta.value(k).conjugate(), 1) for h, k in pairs
         )
@@ -1033,7 +1032,8 @@ def test_wreath_table_json_matches_dict_rows(name):
 def test_full_tables_form_columns_and_weights_once(monkeypatch):
     # across repeated full tables of degrees 1 to 3, each column's packed
     # key and Z_tau are formed once per (table, degree), and each chi(c) is
-    # read once per table, so each weight chi(c)/zeta_c is formed once
+    # read once per field p_r(c) of the row's monomial memo, r = 1, 2, 3, so
+    # each weight chi(c)/zeta_c is formed once per (table, chi, c, r)
     import wreathsph.wreath as wreath
     from wreathsph.symfunc import pack_key
 
@@ -1077,7 +1077,7 @@ def test_full_tables_form_columns_and_weights_once(monkeypatch):
     assert packed == columns
     assert centralized == columns
     assert reads == Counter(
-        {(chi, c): 1 for chi in range(len(table.rows)) for c in range(len(group.classes))}
+        {(chi, c): 3 for chi in range(len(table.rows)) for c in range(len(group.classes))}
     )
 
 
@@ -1099,11 +1099,10 @@ def test_decompose_matrix_group_degree_two():
     # for the self-paired rows, so those components carry columns (1,1)
     group, table = bundled("gl2f3")
     xi = table.row_by_name("chi2")
-    fus = fuse_classes(group, table, xi)
     for pi in ("triv", "iota"):
         dec = decompose_induced(table, PairedChar(table, xi, pi, 1))
         assert set(dec.values()) == {1}
-        assert set(dec) == set(irrep_label_set(table, fus, xi, pi, 1))
+        assert set(dec) == set(irrep_label_set(table, xi, pi, 1))
         for lam in dec:
             sup = tuple(i for i, p in enumerate(lam) if p.size)
             if len(sup) == 1:
