@@ -74,8 +74,8 @@ class CriterionResult:
         return f"criterion {self.number:2d} [{mark}] {self.title} ({self.seconds:.1f}s){': ' + self.detail if self.detail else ''}"
 
 
-def _result(number, title, t0, failures, note=""):
-    detail = note if not failures else "; ".join(failures[:6]) + (
+def _result(number, title, t0, failures):
+    detail = "; ".join(failures[:6]) + (
         f"; and {len(failures)-6} more" if len(failures) > 6 else ""
     )
     return CriterionResult(number, title, not failures, detail, time.time() - t0)
@@ -194,7 +194,7 @@ def criterion_5() -> CriterionResult:
             stabilizers = {
                 rho: [
                     (index.setdefault(h, len(index)), index.setdefault(k, len(index)))
-                    for h, k in coset_stabilizer(group, n, coset_rep(group, rho))
+                    for h, k in coset_stabilizer(group, coset_rep(group, rho))
                 ]
                 for rho in multipartitions(len(group.merged), n)
             }
@@ -307,12 +307,12 @@ def criterion_8() -> CriterionResult:
             identity_label = MultiPartition(
                 (1,) * n if m.rep_element == 0 else () for m in group.merged
             )
-            if w_mul(group, ctx.rep(identity_label), flips) != w_identity(2 * n):
+            if w_mul(group, coset_rep(group, identity_label), flips) != w_identity(2 * n):
                 failures.append(f"{pi}/n={n}: y(identity label) is not the identity")
             at_y = []
             in_table = []
             for j, rho in enumerate(ctx.cols):
-                y = w_mul(group, ctx.rep(rho), flips)
+                y = w_mul(group, coset_rep(group, rho), flips)
                 column = [ctx.brute_at_element(lam, y) for lam in ctx.rows]
                 rhat = rho.hat()
                 for i, lam in enumerate(ctx.rows):
@@ -328,13 +328,7 @@ def criterion_8() -> CriterionResult:
                     in_table.append((tab.grid[i][j], theta_flips * column[i]))
             failures += _differ(f"{pi}/n={n}: prediction at y(rho)", at_y)
             failures += _differ(f"{pi}/n={n}: table vs theta(t0) times y(rho)", in_table)
-    return _result(
-        8,
-        "diagonal factorization of the order-2 base-group tables",
-        t0,
-        failures,
-        note="",
-    )
+    return _result(8, "diagonal factorization of the order-2 base-group tables", t0, failures)
 
 
 def criterion_9() -> CriterionResult:

@@ -26,6 +26,7 @@ from .groups import (
     validate_table,
 )
 from .spherical import (
+    ENGINES,
     TABLE_FORMAT,
     SphericalContext,
     build_table,
@@ -212,10 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, need_table=True):
+    def add_io(p):
         p.add_argument("--group", required=True, help="group JSON file")
-        if need_table:
-            p.add_argument("--table", required=True, help="character table JSON file")
+        p.add_argument("--table", required=True, help="character table JSON file")
 
     def add_run(p):
         p.add_argument("--xi", required=True, help="linear character name, e.g. chi2")
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spherical", help="emit the spherical-function table")
     add_io(p)
     add_run(p)
-    p.add_argument("--engine", choices=("brute", "closed", "symfunc"), default="brute")
+    p.add_argument("--engine", choices=ENGINES, default=ENGINES[0])
     p.add_argument("--cache-dir", help="content-addressed table cache directory")
     p.set_defaults(func=cmd_spherical)
 

@@ -9,6 +9,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -306,6 +307,21 @@ def validate_table(table: CharacterTable) -> list[str]:
     return problems
 
 
+_ZETA_RE = re.compile(r"z\((\d+)\)")
+
+
+def _check_conductors(literal: str, group: FiniteGroup) -> None:
+    """Refuse a table entry with a term z(N), N not dividing 2|G|, before
+    any arithmetic at conductor N, whose cost grows with N: character
+    values lie in Q(zeta_|G|), and 2|G| still allows the z(2m) forms."""
+    for text in _ZETA_RE.findall(literal.replace(" ", "")):  # as parse_cyc reads it
+        if int(text) == 0 or 2 * group.order % int(text):
+            raise GroupError(
+                f"{group.name}: table entry {literal!r}: the order of z({text}) "
+                f"does not divide 2|G| = {2 * group.order}"
+            )
+
+
 def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTable:
     """Load a character table JSON file; validates against the group by default."""
     obj = _json_object(source, "table")
@@ -329,6 +345,9 @@ def load_table(source, group: FiniteGroup, validate: bool = True) -> CharacterTa
             f"{group.name}: table class representatives {reps} do not match "
             f"the computed ones {group.class_reps}"
         )
+    for row in chars:
+        for v in row:
+            _check_conductors(v, group)
     rows = [[parse_cyc(v) for v in row] for row in chars]
     table = CharacterTable(group, rows, names=obj.get("names"))
     if validate:

@@ -111,13 +111,9 @@ class Partition:
 EMPTY = Partition()  # shared by every label that leaves a slot empty
 
 
+@cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order ((n) first)."""
-    return _partitions_of(n)
-
-
-@cache
-def _partitions_of(n: int) -> tuple[Partition, ...]:
     if n < 0:
         raise ValueError("n must be >= 0")
 
@@ -136,6 +132,7 @@ def strict_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if p.is_strict())
 
 
+@cache
 def odd_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if p.is_odd())
 
@@ -240,13 +237,9 @@ class MultiPartition:
         return {str(labels[i]): list(p.parts) for i, p in enumerate(self.parts) if p.parts}
 
 
+@cache
 def multipartitions(num_slots: int, n: int) -> tuple[MultiPartition, ...]:
     """All multipartitions of weight n over num_slots slots, ordered by sort key."""
-    return _multipartitions(num_slots, n)
-
-
-@cache
-def _multipartitions(num_slots: int, n: int) -> tuple[MultiPartition, ...]:
     return multipartitions_constrained((partitions_of,) * num_slots, n)
 
 

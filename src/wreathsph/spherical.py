@@ -83,6 +83,9 @@ from .wreath import (
 # The "format" tag of table JSON, also a part of every cache key.
 TABLE_FORMAT = 1
 
+# The table engines, in the order the CLI offers them; brute is the default.
+ENGINES = ("brute", "closed", "symfunc")
+
 
 class SphericalContext:
     """Everything fixed by one choice of (group, table, xi, pi, n)."""
@@ -139,12 +142,6 @@ class SphericalContext:
     def hg_size(self) -> int:
         return k_order(self.group, self.n)
 
-    def nu(self, chi: int) -> int:
-        return self.fusion.nu[chi]
-
-    def rep(self, rho: MultiPartition) -> WreathElement:
-        return coset_rep(self.group, rho)
-
     @cached_property
     def col_weights(self) -> dict[MultiPartition, int]:
         """Per column, the double-coset order times the radical factor: the
@@ -197,19 +194,14 @@ class SphericalContext:
                 f"{lam} is not a component of the induced character; "
                 "the averaged product vanishes identically"
             )
-        return self.brute_at_element(lam, self.rep(rho))
+        return self.brute_at_element(lam, coset_rep(self.group, rho))
 
     # -- block structure of a row label -----------------------------------------------
 
-    def row_blocks(self, lam: MultiPartition) -> list[tuple[int, int, int]]:
-        """(representative row, partner row, block weight) per paired block."""
-        out = []
-        for rep in self.fusion.eta_reps:
-            partner = self.fusion.row_partner[rep]
-            w = lam[rep].size + (lam[partner].size if partner != rep else 0)
-            if w:
-                out.append((rep, partner, w))
-        return out
+    def row_blocks(self, lam: MultiPartition) -> list[int]:
+        """The representative rows of lam's nonempty blocks."""
+        partner = self.fusion.row_partner
+        return [r for r in self.fusion.eta_reps if lam[r].parts or lam[partner[r]].parts]
 
 
 # -- classical two-group spherical values ---------------------------------------------
@@ -260,12 +252,12 @@ def spherical_closed(
     blocks = ctx.row_blocks(lam)
     if len(blocks) != 1:
         return None
-    rep, partner, _ = blocks[0]
+    rep = blocks[0]
     table, merged = ctx.table, ctx.group.merged
     n = ctx.n
     rho_hat = rho.hat()
-    if partner == rep:
-        nu = ctx.nu(rep)
+    if ctx.fusion.row_partner[rep] == rep:
+        nu = ctx.fusion.nu[rep]
         # the classical factor applies block_pi's sign twist itself
         omega = classical_spherical(lam[rep], block_pi(ctx.pi, nu), rho_hat)
         if not omega:
@@ -314,7 +306,7 @@ def coset_order(ctx: SphericalContext, rho: MultiPartition) -> int:
 def coset_order_brute(ctx: SphericalContext, rho: MultiPartition) -> int:
     """|K x K| by orbit-stabilizer, walking K once; refuses K over the
     element cap."""
-    pairs = coset_stabilizer(ctx.group, ctx.n, ctx.rep(rho), ctx.caps)
+    pairs = coset_stabilizer(ctx.group, coset_rep(ctx.group, rho), ctx.caps)
     return ctx.hg_size**2 // len(pairs)
 
 
@@ -386,13 +378,10 @@ def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
         return _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
 
     images = ctx._images.setdefault(chi, {})
-    single = SymFuncElem.from_p_expr(("x",), f)
-    return single.change_alphabet(coeff, ctx.merged_names, images)
+    return SymFuncElem.from_p_expr(f).change_alphabet(coeff, ctx.merged_names, images)
 
 
-def _block_factor(
-    ctx: SphericalContext, rep: int, partner: int, shape: Partition
-) -> SymFuncElem:
+def _block_factor(ctx: SphericalContext, rep: int, shape: Partition) -> SymFuncElem:
     """The pushed classical factor of one character block, with its scalar.
     The block sees block_pi(pi, nu), and its factor is sign-twisted where
     that contains delta.  A self-paired block reads its mu off
@@ -400,9 +389,9 @@ def _block_factor(
     lies in the odd power sums, where the sign twist is (-1)^m.  A split
     pair reads s at its shape, transposed under delta."""
     gsize, d = ctx.group.order, ctx.table.degrees[rep]
-    nu = ctx.nu(rep)  # 0 on a split pair
+    nu = ctx.fusion.nu[rep]  # 0 on a split pair
     bits = pi_bits(block_pi(ctx.pi, nu))
-    if partner == rep:
+    if ctx.fusion.row_partner[rep] == rep:
         m = shape.size // 2
         mu = self_row_shapes(bits, m)[shape]
         scalar = Fraction(nu * gsize, d) ** m
@@ -425,11 +414,11 @@ def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:
     of classical symmetric functions, one factor per character block.  Each
     factor is pushed once per context and block, keyed by (rep, lam[rep])."""
     result = None
-    for rep, partner, _w in ctx.row_blocks(lam):
+    for rep in ctx.row_blocks(lam):
         key = (rep, lam[rep])
         factor = ctx._factors.get(key)
         if factor is None:
-            factor = ctx._factors[key] = _block_factor(ctx, rep, partner, lam[rep])
+            factor = ctx._factors[key] = _block_factor(ctx, rep, lam[rep])
         result = factor if result is None else result * factor
     # only the empty row (n = 0) has no blocks
     return SymFuncElem.one(ctx.merged_names) if result is None else result
@@ -529,12 +518,6 @@ class SphericalTable:
     def values(self) -> TableCells:
         return TableCells(self.grid, len(self.cols))
 
-    def row_label_json(self, i: int) -> dict:
-        return self.rows[i].to_json(self.char_names)
-
-    def col_label_json(self, j: int) -> dict:
-        return self.cols[j].to_json(self.merged_names)
-
     def to_json_obj(self) -> dict:
         return {
             "format": TABLE_FORMAT,
@@ -542,8 +525,8 @@ class SphericalTable:
             "xi": self.xi_name,
             "pi": self.pi,
             "n": self.n,
-            "rows": [self.row_label_json(i) for i in range(len(self.rows))],
-            "cols": [self.col_label_json(j) for j in range(len(self.cols))],
+            "rows": [lam.to_json(self.char_names) for lam in self.rows],
+            "cols": [rho.to_json(self.merged_names) for rho in self.cols],
             "values": [[str(v) for v in row] for row in self.grid],
             "engines": [[self.engine] * len(self.cols)] * len(self.rows),
         }
@@ -572,7 +555,7 @@ def table_csv(obj: dict) -> str:
 
 def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
     """Compute the full table of spherical values with the requested engine."""
-    if engine not in ("brute", "closed", "symfunc"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "brute":
         ctx.check_brute_work()
@@ -696,11 +679,9 @@ def cache_key(*parts: bytes | str | int) -> str:
     return h.hexdigest()
 
 
-def cache_load(cache_dir: str | Path | None, key: str) -> str | None:
+def cache_load(cache_dir: str | Path, key: str) -> str | None:
     """The cached table payload, or None on a miss.  An entry that is not a
     whole format-1 table, exactly as written, counts as a miss."""
-    if cache_dir is None:
-        return None
     try:
         payload = (Path(cache_dir) / f"{key}.json").read_text()
         obj = json.loads(payload)
@@ -716,11 +697,9 @@ def cache_load(cache_dir: str | Path | None, key: str) -> str | None:
     return payload
 
 
-def cache_store(cache_dir: str | Path | None, key: str, payload: str) -> None:
+def cache_store(cache_dir: str | Path, key: str, payload: str) -> None:
     """Write the entry to a temporary file beside it, then rename it into
     place, so a reader never sees a partial entry."""
-    if cache_dir is None:
-        return
     path = Path(cache_dir)
     path.mkdir(parents=True, exist_ok=True)
     with tempfile.NamedTemporaryFile("w", dir=path, suffix=".tmp", delete=False) as fh:

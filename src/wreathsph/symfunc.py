@@ -349,16 +349,12 @@ class SymFuncElem:
         return SymFuncElem._from_vectors(tuple(alphabet), 1, {0: [1]}, 1, 0)
 
     @staticmethod
-    def from_p_expr(alphabet, f: PExpr) -> "SymFuncElem":
-        """f in the power sums of the first letter of alphabet."""
-        alphabet = tuple(alphabet)
-        cycs = {
-            _pack_partition(rho, 0, len(alphabet)): CycNum.rational(c)
-            for rho, c in f.items()
-            if c
-        }
+    def from_p_expr(f: PExpr) -> "SymFuncElem":
+        """f in the power sums of the one-letter alphabet ("x",), which
+        change_alphabet pushes into the class alphabets."""
+        cycs = {_pack_partition(rho, 0, 1): CycNum.rational(c) for rho, c in f.items() if c}
         weight = max((rho.size for rho in f), default=0)
-        return SymFuncElem._from_vectors(alphabet, *_cyc_vectors(cycs), weight)
+        return SymFuncElem._from_vectors(("x",), *_cyc_vectors(cycs), weight)
 
     # -- ring operations -----------------------------------------------------
 

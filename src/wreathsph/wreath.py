@@ -29,6 +29,7 @@ from .partitions import (
     doubling,
     multipartitions,
     multipartitions_constrained,
+    odd_partitions,
     ordered_choices,
     partitions_of,
     strict_partitions,
@@ -162,19 +163,6 @@ def w_inv(group: FiniteGroup, x: WreathElement) -> WreathElement:
     return WreathElement(base, p_inverse(x.perm))
 
 
-def w_embed(blocks: list[tuple[WreathElement, int]]) -> WreathElement:
-    """Concatenate wreath elements side by side on consecutive index blocks."""
-    base: list[int] = []
-    perm: list[int] = []
-    offset = 0
-    for x, size in blocks:
-        assert len(x.base) == size
-        base.extend(x.base)
-        perm.extend(v + offset for v in x.perm)
-        offset += size
-    return WreathElement(tuple(base), tuple(perm))
-
-
 def class_type(group: FiniteGroup, x: WreathElement) -> MultiPartition:
     """The conjugacy invariant: per group class, the cycle lengths of the
     permutation part whose cycle products land in that class."""
@@ -235,7 +223,7 @@ def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncEl
     if image is None:
         row, zc = table.rows[chi], table.group.centralizer_orders
         images = table._monomial_images.setdefault(chi, {})
-        image = SymFuncElem.from_p_expr(("x",), schur_p_expr(part)).change_alphabet(
+        image = SymFuncElem.from_p_expr(schur_p_expr(part)).change_alphabet(
             lambda _a, c, _r: row[c] * Fraction(1, zc[c]), range(len(row)), images
         )
         table._schur_images[key] = image
@@ -404,17 +392,16 @@ class PairedChar:
 
 def coset_rep(group: FiniteGroup, rho: MultiPartition) -> WreathElement:
     """The chosen representative: per part p at merged class R, a block of
-    length 2p with base (1, ..., 1, g_R) and the full cycle on the block."""
-    blocks = []
-    for i, part in enumerate(rho):
-        g = group.merged[i].rep_element
+    length 2p with base (1, ..., 1, g_R) and the full cycle on the block,
+    the blocks side by side in the order of the classes and parts."""
+    base: list[int] = []
+    perm: list[int] = []
+    for m, part in zip(group.merged, rho):
         for p in part:
-            size = 2 * p
-            base = (0,) * (size - 1) + (g,)
-            blocks.append((WreathElement(base, perm_of_partition(Partition((size,)))), size))
-    if not blocks:
-        return w_identity(0)
-    return w_embed(blocks)
+            start = len(base)
+            base += (0,) * (2 * p - 1) + (m.rep_element,)
+            perm += (*range(start + 1, start + 2 * p), start)
+    return WreathElement(tuple(base), tuple(perm))
 
 
 def coset_label_set(
@@ -429,7 +416,7 @@ def coset_label_set(
             return _empty_family if xi_neg else partitions_of
         if not m.real:
             return partitions_of
-        return _even_parts_family if xi_neg else _odd_parts_family
+        return _even_parts_family if xi_neg else odd_partitions
 
     return multipartitions_constrained([family(m) for m in table.group.merged], n)
 
@@ -441,11 +428,6 @@ def _empty_family(w: int) -> tuple[Partition, ...]:
 @cache
 def _even_parts_family(w: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(w) if p.is_even())
-
-
-@cache
-def _odd_parts_family(w: int) -> tuple[Partition, ...]:
-    return tuple(p for p in partitions_of(w) if p.is_odd())
 
 
 def _self_row_family(nu: int, pi: str):
@@ -645,12 +627,15 @@ def decompose_induced(
 
 
 def coset_stabilizer(
-    group: FiniteGroup, n: int, x: WreathElement, caps: Caps = Caps()
+    group: FiniteGroup, x: WreathElement, caps: Caps = Caps()
 ) -> list[tuple[WreathElement, WreathElement]]:
     """The pairs (h, k) of K x K with h x k = x, i.e. k = x^-1 h^-1 x, over
-    the h of K n xKx^-1, with K walked as its doubled bases times H_n;
-    refuses K over the element cap.  By orbit-stabilizer
-    |KxK| = |K|^2 / len(pairs)."""
+    the h of K n xKx^-1, with K of degree 2n the degree of x and walked as
+    its doubled bases times H_n; refuses x of odd degree, and K over the
+    element cap.  By orbit-stabilizer |KxK| = |K|^2 / len(pairs)."""
+    n, odd = divmod(len(x.perm), 2)
+    if odd:
+        raise GroupError(f"element of odd degree {len(x.perm)} is not in G wr S_2n")
     xinv = w_inv(group, x)
     perms = hyperoct_perms(n)
     pairs = []

@@ -38,6 +38,20 @@ def test_validate_corrupted_table(tmp_path, capsys):
     assert "orthogonality" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entry", ["z(2003)", "1 + z( 2003 )^5"])
+def test_validate_refuses_a_conductor_not_dividing_twice_the_order(tmp_path, capsys, entry):
+    # refused before any arithmetic at conductor 2003, which would take
+    # seconds and hundreds of MB; the message names the literal
+    g, t = paths("q8")
+    obj = json.loads(open(t).read())
+    obj["chars"][4][1] = entry
+    bad = tmp_path / "bad_table.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["validate", "--group", g, "--table", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert repr(entry) in err and "2|G| = 16" in err
+
+
 def test_nu2_matrix(capsys):
     g, t = paths("gl2f3")
     assert main(["nu2", "--group", g, "--table", t, "--format", "json"]) == 0

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wreathsph.cyclo import CycNum, ONE
+from wreathsph.cyclo import CycNum
 from wreathsph.groups import (
     CapExceeded,
-    CharacterTable,
     FiniteGroup,
     GroupError,
     bundled,

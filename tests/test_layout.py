@@ -6,10 +6,10 @@ attribute access, so that a function or local of the same name does not
 count, and a plain method (not a property) only where it is called,
 `.name(...)`, or read off its class, `Cls.name`, so that a field or
 property of the same name does not count either; text in strings and
-comments counts for none.  Every name a module of src/wreathsph imports is
-used in that module, and every name the package exports is defined in the
-module it is read from, and every named parameter of a function there is
-read in its body."""
+comments counts for none.  Every name a module of src/wreathsph, tests/
+or scripts/ imports is used in that module, every name the package
+exports is defined in the module it is read from, and every named
+parameter of a function in the package is read in its body."""
 
 import ast
 from pathlib import Path
@@ -110,7 +110,8 @@ TRACED_BINDINGS = {("spherical", "class_type"), ("acceptance", "wreath_character
 
 def test_every_imported_name_is_used_in_its_module():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    tops = (PACKAGE, ROOT / "tests", ROOT / "scripts")
+    for path in sorted(path for top in tops for path in top.glob("*.py")):
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -120,7 +121,7 @@ def test_every_imported_name_is_used_in_its_module():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used and (path.stem, name) not in TRACED_BINDINGS:
-                        unused.append(f"{path.stem}.{name}")
+                        unused.append(f"{path.parent.name}/{path.stem}.{name}")
     assert unused == []
 
 

@@ -252,9 +252,9 @@ def test_constrained_enumeration_matches_sorted_reference():
     # zero to three slots, n = 0 included, over all partitions, the empty
     # partition alone (wreath._empty_family), no choice at all, and the
     # even-part and odd-part families
-    from wreathsph.wreath import _empty_family, _even_parts_family, _odd_parts_family
+    from wreathsph.wreath import _empty_family, _even_parts_family
 
-    families = (partitions_of, _empty_family, lambda w: (), _even_parts_family, _odd_parts_family)
+    families = (partitions_of, _empty_family, lambda w: (), _even_parts_family, odd_partitions)
     for slots in range(4):
         for combo in product(families, repeat=slots):
             for n in range(6):

@@ -10,7 +10,6 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from wreathsph.cyclo import CycNum, ONE, ZERO, sum_products
 from wreathsph.groups import (
@@ -63,7 +62,6 @@ from wreathsph.wreath import (
     self_row_shapes,
     theta_type_weights,
     type_centralizer_order,
-    w_embed,
     w_identity,
     w_inv,
     w_mul,
@@ -454,6 +452,36 @@ def test_coset_rep_anchor_order4_group():
     assert tuple(v + 1 for v in x.perm) == (2, 1, 4, 5, 6, 3, 8, 7)
 
 
+def reference_coset_rep(group, rho):
+    """The representative as side-by-side blocks: per part p at merged class
+    R, the element of degree 2p with base (1, ..., 1, g_R) and the full
+    cycle, its indices shifted past the blocks before it."""
+    base, perm = [], []
+    for m, part in zip(group.merged, rho):
+        for p in part:
+            block = WreathElement(
+                (0,) * (2 * p - 1) + (m.rep_element,), perm_of_partition(P((2 * p,)))
+            )
+            perm += [v + len(base) for v in block.perm]
+            base += block.base
+    return WreathElement(tuple(base), tuple(perm))
+
+
+def test_coset_rep_matches_block_concatenation():
+    for name in bundled_names():
+        group, _ = bundled(name)
+        for n in range(4):
+            for rho in multipartitions(len(group.merged), n):
+                assert coset_rep(group, rho) == reference_coset_rep(group, rho), (name, rho)
+
+
+def test_coset_stabilizer_refuses_odd_degree():
+    group, _ = bundled("c2")
+    for degree in (1, 3):
+        with pytest.raises(GroupError, match="odd degree"):
+            coset_stabilizer(group, w_identity(degree))
+
+
 def test_coset_rep_identity_pattern():
     group, _ = bundled("c2")
     rho = MultiPartition([P((1, 1, 1)), P()])
@@ -472,12 +500,12 @@ def test_coset_stabilizer_of_inverse_has_same_size():
             coset_rep(group, rho) for rho in multipartitions(len(group.merged), n)
         ]
         for x in points:
-            pairs = coset_stabilizer(group, n, x)
+            pairs = coset_stabilizer(group, x)
             xinv = w_inv(group, x)
             want = [(h, w_mul(group, w_mul(group, xinv, w_inv(group, h)), x)) for h in hg]
             assert pairs == [(h, k) for h, k in want if reference_in_k(k)]
             assert all(w_mul(group, w_mul(group, h, x), k) == x for h, k in pairs)
-            assert len(pairs) == len(coset_stabilizer(group, n, w_inv(group, x)))
+            assert len(pairs) == len(coset_stabilizer(group, w_inv(group, x)))
 
 
 def test_explicit_involution_identities():
@@ -749,7 +777,7 @@ def test_label_sets_evaluate_each_indicator_once(monkeypatch):
             irrep_label_set(table, xi, pi, n)
             coset_label_set(table, xi, epsilon_sign(pi), n)
             ctx = SphericalContext(group, table, xi, pi, n)
-            assert [ctx.nu(chi) for chi in range(8)] == [0, 0, -1, 0, 0, -1, -1, -1]
+            assert [ctx.fusion.nu[chi] for chi in range(8)] == [0, 0, -1, 0, 0, -1, -1, -1]
     partner = fuse_classes(table, xi).row_partner
     assert calls == Counter(chi for chi in range(8) if partner[chi] == chi)
 
@@ -954,7 +982,7 @@ def test_trivial_twist_stabilizer_sums_never_vanish():
     theta = PairedChar(table, 0, "triv", 1)
     for i, m in enumerate(group.merged):
         rho = MultiPartition([P((1,)) if j == i else P() for j in range(len(group.merged))])
-        pairs = coset_stabilizer(group, 1, coset_rep(group, rho))
+        pairs = coset_stabilizer(group, coset_rep(group, rho))
         tot = sum_products(
             (theta.value(h).conjugate(), theta.value(k).conjugate(), 1) for h, k in pairs
         )
