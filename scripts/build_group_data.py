@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from wreathsph.cyclo import CycNum, cyc, zeta
+from wreathsph.cyclo import CycNum, canonicalize, zeta
 from wreathsph.groups import group_from_perm_gens, validate_table
 from wreathsph.spherical import canonical_json
 
@@ -148,8 +148,8 @@ def gl2f3():
         return k
 
     # column vectors of the table, keyed by class invariants
-    s = str(cyc(8, {1: 1, 3: 1}))  # the value with square -2
-    ns = str(cyc(8, {1: -1, 3: -1}))
+    s = str(canonicalize(8, {1: 1, 3: 1}))  # the value with square -2
+    ns = str(canonicalize(8, {1: -1, 3: -1}))
     columns = {
         "1a": ["1", "1", "2", "3", "3", "2", "2", "4"],
         "2a": ["1", "1", "2", "3", "3", "-2", "-2", "-4"],

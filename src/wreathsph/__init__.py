@@ -7,7 +7,7 @@ importing one submodule (wreathsph.groups, say) does not load the rest.
 from importlib import import_module
 
 _EXPORTS = {
-    "cyclo": ("CycNum", "cyc", "parse_cyc", "zeta"),
+    "cyclo": ("CycNum", "canonicalize", "parse_cyc", "zeta"),
     "groups": (
         "Caps",
         "CharacterTable",
@@ -31,7 +31,7 @@ _EXPORTS = {
         "coset_order",
         "reconcile",
     ),
-    "symfunc": ("SymFuncElem", "jack_p_expr", "schur_p_expr", "schurq_p_expr", "sym_character"),
+    "symfunc": ("SymFuncElem", "jack_p", "schur_p", "schurq_p", "sym_character"),
     "wreath": (
         "PairedChar",
         "WreathElement",

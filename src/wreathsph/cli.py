@@ -29,6 +29,7 @@ from .spherical import (
     ENGINES,
     TABLE_FORMAT,
     SphericalContext,
+    atomic_write,
     build_table,
     cache_key,
     cache_load,
@@ -58,7 +59,7 @@ def _positive_int(text: str) -> int:
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        atomic_write(out, text)
     else:
         sys.stdout.write(text)
 

@@ -171,9 +171,6 @@ class CycNum:
 
     # -- basic queries -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def try_rational(self) -> Fraction | None:
         """The value as a rational, or None if it is irrational."""
         if self.conductor == 1:
@@ -265,7 +262,7 @@ class CycNum:
         rationals and rational multiples of roots of unity.  General
         cyclotomic inversion is intentionally not provided.
         """
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         if self.conductor == 1:
             return CycNum.rational(1 / self.coeffs[0])
@@ -347,13 +344,8 @@ def canonicalize(conductor: int, raw: dict[int, int | Fraction]) -> CycNum:
     return vector_cyc(vec, den)
 
 
-def cyc(conductor: int, raw: dict[int, int | Fraction]) -> CycNum:
-    """Build Sum_k raw[k] * zeta_conductor^k in canonical form."""
-    return canonicalize(conductor, raw)
-
-
 def zeta(n: int, k: int = 1) -> CycNum:
-    return cyc(n, {k: 1})
+    return canonicalize(n, {k: 1})
 
 
 ZERO = CycNum.rational(0)
@@ -478,6 +470,6 @@ def parse_cyc(text: str) -> CycNum:
         if m.group("n") is None:
             term = CycNum.rational(sign * coef)
         else:
-            term = cyc(int(m.group("n")), {int(m.group("k") or 1): sign * coef})
+            term = canonicalize(int(m.group("n")), {int(m.group("k") or 1): sign * coef})
         total = total + term
     return total

@@ -16,7 +16,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .cyclo import CycNum, ONE, ZERO, parse_cyc, sum_products
+from .cyclo import CycNum, ZERO, parse_cyc, sum_products
 
 
 class GroupError(Exception):
@@ -408,15 +408,17 @@ def twisted_indicator(table: CharacterTable, xi: int, chi: int) -> int:
 
 @dataclass(frozen=True)
 class ClassFusion:
-    """Character pairing data for one linear twist; the merged classes it
-    counts are the group's (FiniteGroup.merged)."""
+    """Character pairing data for one linear twist, and the twist's sign on
+    the group's merged classes (FiniteGroup.merged)."""
 
     row_partner: tuple[int, ...]  # row index of conj(chi) * eta per row
     # twisted indicator of each row at eta: summed for self-paired rows,
     # 0 for split rows by the dichotomy, not summed
     nu: tuple[int, ...]
     eta_reps: tuple[int, ...]  # chosen representative rows, one per pair
-    stats: dict
+    # per merged class: -1 where it is real and eta(g_R) = -1, 1 at the
+    # other real classes, 0 at the complex ones
+    eta_signs: tuple[int, ...]
 
 
 def fuse_classes(table: CharacterTable, eta: int) -> ClassFusion:
@@ -434,7 +436,6 @@ def fuse_classes(table: CharacterTable, eta: int) -> ClassFusion:
 def _fuse_classes(table: CharacterTable, eta: int) -> ClassFusion:
     if table.degrees[eta] != 1:
         raise GroupError("fusion twist must be a linear character")
-    merged = table.group.merged
     row_partner = tuple(
         table.conj_tensor_row(eta, chi) for chi in range(len(table.rows))
     )
@@ -446,31 +447,11 @@ def _fuse_classes(table: CharacterTable, eta: int) -> ClassFusion:
     eta_reps = tuple(
         chi for chi in range(len(table.rows)) if chi <= row_partner[chi]
     )
-    minus_one = CycNum.rational(-1)
-    plus_one = ONE
-    n_starstar = len(merged)
-    n_complex_classes = sum(len(m.classes) for m in merged if not m.real)
-    n_xi = sum(
-        1
-        for m in merged
-        if m.real and table.value(eta, m.rep_element) == minus_one
+    eta_signs = tuple(
+        (-1 if table.value(eta, m.rep_element) == -1 else 1) if m.real else 0
+        for m in table.group.merged
     )
-    n_r_xi = sum(
-        1 for m in merged if m.real and table.value(eta, m.rep_element) == plus_one
-    )
-    n_self_rows = sum(1 for chi, p in enumerate(row_partner) if p == chi)
-    n_split_rows = len(row_partner) - n_self_rows
-    stats = {
-        "n_starstar": n_starstar,
-        "n_eta_starstar": len(eta_reps),
-        "n_xi": n_xi,
-        "n_R_xi": n_r_xi,
-        "n_C": n_complex_classes,
-        "n_R": n_starstar - n_complex_classes // 2,
-        "n_R_xi_rows": n_self_rows,
-        "n_C_xi_rows": n_split_rows,
-    }
-    return ClassFusion(row_partner, nu, eta_reps, stats)
+    return ClassFusion(row_partner, nu, eta_reps, eta_signs)
 
 
 # -- bundled data --------------------------------------------------------------

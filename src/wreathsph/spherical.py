@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,14 +47,12 @@ from .partitions import (
     shifted_tableau_count,
 )
 from .symfunc import (
-    PExpr,
+    PTerms,
     SymFuncElem,
     jack_p,
-    jack_p_expr,
     pack_key,
-    schur_p_expr,
+    schur_p,
     schurq_p,
-    schurq_p_expr,
     sym_character,
 )
 from .wreath import (
@@ -291,14 +288,10 @@ def spherical_closed(
 def coset_order(ctx: SphericalContext, rho: MultiPartition) -> int:
     """Order of the double coset with the given label, by the product formula."""
     total = Fraction(ctx.hg_size**2)
-    for i, m in enumerate(ctx.group.merged):
-        part = rho[i]
+    for m, part in zip(ctx.group.merged, rho):
         zc = ctx.group.centralizer_orders[m.classes[0]]
-        if m.real:
-            doubled = Partition(tuple(2 * p for p in part))
-            total /= doubled.aut_order() * zc ** len(part)
-        else:
-            total /= part.aut_order() * zc ** len(part)
+        # a real class counts the doubled partition: aut(2 mu) = 2^len(mu) aut(mu)
+        total /= part.aut_order() * ((2 if m.real else 1) * zc) ** len(part)
     assert total.denominator == 1
     return int(total)
 
@@ -358,7 +351,7 @@ def _numerator_once(ctx: SphericalContext, chi: int, g: int, r: int) -> CycNum:
     return w
 
 
-def _push_single(ctx: SphericalContext, chi: int, f: PExpr) -> SymFuncElem:
+def _push_single(ctx: SphericalContext, chi: int, f: PTerms) -> SymFuncElem:
     """Push a single-alphabet p-expression through the change of variables
     p_r(chi) -> sum over merged classes R of _numerator / (k zeta_R) p_r(R).
 
@@ -396,14 +389,14 @@ def _block_factor(ctx: SphericalContext, rep: int, shape: Partition) -> SymFuncE
         mu = self_row_shapes(bits, m)[shape]
         scalar = Fraction(nu * gsize, d) ** m
         if bits & IOTA:
-            f = schurq_p_expr(mu)
+            f = schurq_p(mu)
             scalar *= Fraction(factorial(m), shifted_tableau_count(mu))
         else:
-            f = jack_p_expr(mu, 2)
+            f = jack_p(mu, 2)
     else:
         m = shape.size
         own = shape.transpose() if bits & DELTA else shape
-        f = schur_p_expr(own)
+        f = schur_p(own)
         scalar = Fraction(gsize, d) ** m * own.hook_product()
     pushed = _push_single(ctx, rep, f).scale(scalar)
     return pushed.sign_twist() if bits & DELTA else pushed
@@ -698,10 +691,30 @@ def cache_load(cache_dir: str | Path, key: str) -> str | None:
 
 
 def cache_store(cache_dir: str | Path, key: str, payload: str) -> None:
-    """Write the entry to a temporary file beside it, then rename it into
-    place, so a reader never sees a partial entry."""
+    """Write the entry through atomic_write: a reader never sees a part."""
     path = Path(cache_dir)
     path.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", dir=path, suffix=".tmp", delete=False) as fh:
-        fh.write(payload)
-    os.replace(fh.name, path / f"{key}.json")
+    atomic_write(path / f"{key}.json", payload)
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write text to path through a temporary file beside it, renamed into
+    place, so that path keeps its old contents (or stays absent) unless all
+    of text was written; the temporary file is removed when the write
+    fails.  A new file gets mode 0666 less the umask, as open() gives it."""
+    path = Path(path)
+    if path.exists() and not path.is_file():  # a device or a pipe: nothing to replace
+        path.write_text(text)
+        return
+    path = path.resolve()  # a link is written through
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if path.exists():  # keep the mode of the file it replaces
+            os.chmod(fd, path.stat().st_mode & 0o7777)
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

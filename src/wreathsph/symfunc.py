@@ -41,6 +41,7 @@ from .partitions import (
 )
 
 PExpr = dict[Partition, Fraction]
+PTerms = tuple[tuple[Partition, Fraction], ...]  # a cached p-expansion's pairs
 
 
 # -- single-alphabet helpers -----------------------------------------------
@@ -116,7 +117,7 @@ def sym_character(lam: Partition, rho: Partition) -> int:
 
 
 @cache
-def schur_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
+def schur_p(lam: Partition) -> PTerms:
     """Schur function: sum over rho of chi^lam_rho / z_rho * p_rho."""
     out = []
     for rho in partitions_of(lam.size):
@@ -124,10 +125,6 @@ def schur_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
         if c:
             out.append((rho, Fraction(c, rho.aut_order())))
     return tuple(out)
-
-
-def schur_p_expr(lam: Partition) -> PExpr:
-    return dict(schur_p(lam))
 
 
 # -- Gram-Schmidt -----------------------------------------------------------------
@@ -158,12 +155,12 @@ def _jack_basis(n: int, alpha: Fraction) -> dict[Partition, PExpr]:
     m_mu of mu below lambda, so the Schur functions up to lambda span the
     monomials up to lambda, and the pass keeps the monic P_lambda."""
     return _orthogonalize(
-        ((lam, schur_p_expr(lam)) for lam in reversed(partitions_of(n))), alpha
+        ((lam, dict(schur_p(lam))) for lam in reversed(partitions_of(n))), alpha
     )
 
 
 @cache
-def jack_p(lam: Partition, alpha: Fraction) -> tuple[tuple[Partition, Fraction], ...]:
+def jack_p(lam: Partition, alpha: Fraction) -> PTerms:
     """Jack polynomial at parameter alpha, normalized so the coefficient of
     the squarefree monomial m_(1^n) equals n!, as a p-expansion.  Only
     p_(1^n) contains m_(1^n), with coefficient n!, so that is a coefficient
@@ -178,15 +175,11 @@ def jack_p(lam: Partition, alpha: Fraction) -> tuple[tuple[Partition, Fraction],
     return tuple(sorted(p_scale(f, 1 / lead).items(), key=lambda kv: kv[0].parts))
 
 
-def jack_p_expr(lam: Partition, alpha) -> PExpr:
-    return dict(jack_p(lam, Fraction(alpha)))
-
-
 # -- Schur Q-functions ---------------------------------------------------------
 
 
 @cache
-def qfunc_p(r: int) -> tuple[tuple[Partition, Fraction], ...]:
+def qfunc_p(r: int) -> PTerms:
     """The one-row Q generator: coefficient of t^r in exp(2 sum_odd p_k t^k / k)."""
     if r == 0:
         return ((Partition(), Fraction(1)),)
@@ -216,16 +209,12 @@ def _schurq_basis(n: int) -> dict[Partition, PExpr]:
 
 
 @cache
-def schurq_p(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
+def schurq_p(lam: Partition) -> PTerms:
     """Schur Q-function of a strict partition, read from its weight's basis."""
     if not lam.is_strict():
         raise ValueError(f"Q requires a strict partition, got {lam}")
     out = _schurq_basis(lam.size)[lam]
     return tuple(sorted(out.items(), key=lambda kv: kv[0].parts))
-
-
-def schurq_p_expr(lam: Partition) -> PExpr:
-    return dict(schurq_p(lam))
 
 
 # -- multi-alphabet elements -----------------------------------------------------
@@ -349,11 +338,12 @@ class SymFuncElem:
         return SymFuncElem._from_vectors(tuple(alphabet), 1, {0: [1]}, 1, 0)
 
     @staticmethod
-    def from_p_expr(f: PExpr) -> "SymFuncElem":
-        """f in the power sums of the one-letter alphabet ("x",), which
-        change_alphabet pushes into the class alphabets."""
-        cycs = {_pack_partition(rho, 0, 1): CycNum.rational(c) for rho, c in f.items() if c}
-        weight = max((rho.size for rho in f), default=0)
+    def from_p_expr(f: PTerms) -> "SymFuncElem":
+        """f, as (partition, coefficient) pairs, in the power sums of the
+        one-letter alphabet ("x",), which change_alphabet pushes into the
+        class alphabets."""
+        cycs = {_pack_partition(rho, 0, 1): CycNum.rational(c) for rho, c in f if c}
+        weight = max((rho.size for rho, _ in f), default=0)
         return SymFuncElem._from_vectors(("x",), *_cyc_vectors(cycs), weight)
 
     # -- ring operations -----------------------------------------------------
@@ -510,26 +500,21 @@ class SymFuncElem:
             return _cyc_vectors(cycs)
 
         def image(key: int):
-            # strip lowest fields down to a memoized monomial (or 1), then
-            # multiply them back on, memoizing each monomial on the way
-            chain = []
-            while key and key not in images:
-                chain.append(key)
-                key -= 1 << (_W * (((key & -key).bit_length() - 1) // _W))
-            got = images[key] if key else (1, {0: [1]}, 1)
-            for k in reversed(chain):
-                unit = k - key
-                if unit == k:
+            """The image of a monomial, memoized in images; one recursion
+            per field unit, so at most the weight (<= 255) deep."""
+            if not key:
+                return (1, {0: [1]}, 1)
+            got = images.get(key)
+            if got is None:
+                unit = 1 << (_W * (((key & -key).bit_length() - 1) // _W))
+                if unit == key:
                     got = field_image(unit)
                 else:
-                    u = images.get(unit)
-                    if u is None:
-                        u = images[unit] = field_image(unit)
-                    m = lcm(got[0], u[0])
-                    vecs = _product(_lift(got[1], got[0], m), _lift(u[1], u[0], m), m)
-                    got = (m, vecs, got[2] * u[2])
-                images[k] = got
-                key = k
+                    rest, u = image(key - unit), image(unit)
+                    m = lcm(rest[0], u[0])
+                    vecs = _product(_lift(rest[1], rest[0], m), _lift(u[1], u[0], m), m)
+                    got = (m, vecs, rest[2] * u[2])
+                images[key] = got
             return got
 
         pushed = {key: image(key) for key in self._vecs}

@@ -34,7 +34,7 @@ from .partitions import (
     partitions_of,
     strict_partitions,
 )
-from .symfunc import SymFuncElem, pack_key, schur_p_expr, sym_character
+from .symfunc import SymFuncElem, pack_key, schur_p, sym_character
 
 Perm = tuple[int, ...]
 
@@ -192,10 +192,8 @@ def k_order(group: FiniteGroup, n: int) -> int:
 
 def type_centralizer_order(group: FiniteGroup, tau: MultiPartition) -> int:
     out = 1
-    for c, part in enumerate(tau):
-        zc = group.centralizer_orders[c]
-        for r, m in part.multiplicities().items():
-            out *= (r * zc) ** m * factorial(m)
+    for zc, part in zip(group.centralizer_orders, tau):
+        out *= part.aut_order() * zc ** len(part)
     return out
 
 
@@ -223,7 +221,7 @@ def _pushed_schur(table: CharacterTable, chi: int, part: Partition) -> SymFuncEl
     if image is None:
         row, zc = table.rows[chi], table.group.centralizer_orders
         images = table._monomial_images.setdefault(chi, {})
-        image = SymFuncElem.from_p_expr(schur_p_expr(part)).change_alphabet(
+        image = SymFuncElem.from_p_expr(schur_p(part)).change_alphabet(
             lambda _a, c, _r: row[c] * Fraction(1, zc[c]), range(len(row)), images
         )
         table._schur_images[key] = image
@@ -407,18 +405,19 @@ def coset_rep(group: FiniteGroup, rho: MultiPartition) -> WreathElement:
 def coset_label_set(
     table: CharacterTable, xi: int, sign: int, n: int
 ) -> tuple[MultiPartition, ...]:
-    """Multipartitions over merged classes indexing nonvanishing double cosets."""
-    minus_one = CycNum.rational(-1)
+    """Multipartitions over merged classes indexing nonvanishing double
+    cosets; each slot's family is fixed by xi's sign there (eta_signs)."""
 
-    def family(m):
-        xi_neg = m.real and table.value(xi, m.rep_element) == minus_one
+    def family(eta_sign):
         if sign > 0:
-            return _empty_family if xi_neg else partitions_of
-        if not m.real:
+            return _empty_family if eta_sign < 0 else partitions_of
+        if not eta_sign:
             return partitions_of
-        return _even_parts_family if xi_neg else odd_partitions
+        return _even_parts_family if eta_sign < 0 else odd_partitions
 
-    return multipartitions_constrained([family(m) for m in table.group.merged], n)
+    return multipartitions_constrained(
+        [family(s) for s in fuse_classes(table, xi).eta_signs], n
+    )
 
 
 def _empty_family(w: int) -> tuple[Partition, ...]:

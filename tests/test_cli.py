@@ -444,3 +444,70 @@ def test_only_selftest_loads_the_acceptance_suite():
     assert proc.returncode == 0, proc.stderr
     flags = [line for line in proc.stdout.splitlines() if line.startswith("acceptance")]
     assert flags == [f"acceptance loaded: {v}" for v in ("False", "False", "True")]
+
+
+# Runs the command line in a child whose files may not grow past 4,096
+# bytes (RLIMIT_FSIZE binds this one process); the table it writes is
+# 9,306 bytes, so the write fails part way.
+SIZE_LIMITED_MAIN = "\n".join([
+    "import resource, sys",
+    "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))",
+    "from wreathsph.cli import main",
+    "sys.exit(main(sys.argv[1:]))",
+])
+
+
+def size_limited_spherical(*extra):
+    g, t = paths("q8")
+    return run_python("-c", SIZE_LIMITED_MAIN, "spherical", "--group", g, "--table", t,
+                      "--xi", "chi1", "--pi", "delta-iota", "--n", "2", "--format", "json",
+                      "--engine", "symfunc", *extra)
+
+
+@pytest.mark.parametrize("before", [None, b"the old table\n"])
+def test_failed_out_write_keeps_the_target(tmp_path, before):
+    target = tmp_path / "table.json"
+    if before is not None:
+        target.write_bytes(before)
+    proc = size_limited_spherical("--out", str(target))
+    assert proc.returncode == 1, proc.stderr
+    assert "File too large" in proc.stderr
+    if before is None:
+        assert not target.exists()
+    else:
+        assert target.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_failed_cache_store_leaves_no_entry(tmp_path):
+    cache = tmp_path / "cache"
+    proc = size_limited_spherical("--cache-dir", str(cache))
+    assert proc.returncode == 1, proc.stderr
+    assert list(cache.iterdir()) == []
+
+
+def test_out_writes_through_a_link_and_keeps_the_mode(tmp_path):
+    g, t = paths("c2")
+    target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link.symlink_to(target)
+    umask = os.umask(0o022)
+    try:
+        assert main(["nu2", "--group", g, "--table", t, "--out", str(link)]) == 0
+        fresh = tmp_path / "fresh.csv"
+        assert main(["nu2", "--group", g, "--table", t, "--out", str(fresh)]) == 0
+    finally:
+        os.umask(umask)
+    assert link.is_symlink() and target.read_text().startswith("chi,")
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert fresh.stat().st_mode & 0o777 == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "link.csv", "table.csv"]
+
+
+def test_out_to_a_pipe_writes_into_it():
+    g, t = paths("c2")
+    proc = run_python("-m", "wreathsph", "nu2", "--group", g, "--table", t,
+                      "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("chi,")

@@ -17,23 +17,22 @@ from wreathsph.cyclo import (
     _subfield_basis,
     _subfield_inverse,
     canonicalize,
-    cyc,
     parse_cyc,
     zeta,
 )
 
-ROOT2_I = cyc(8, {1: 1, 3: 1})  # the value whose square is -2
+ROOT2_I = canonicalize(8, {1: 1, 3: 1})  # the value whose square is -2
 
 
 def test_canonicalize_cancellation():
-    assert cyc(4, {1: 1, 3: 1}) == ZERO
-    assert cyc(4, {1: 1, 3: 1}).is_zero()
+    assert canonicalize(4, {1: 1, 3: 1}) == ZERO
+    assert not canonicalize(4, {1: 1, 3: 1})
 
 
 def test_canonicalize_examples():
     assert ROOT2_I.conductor == 8
     assert ROOT2_I * ROOT2_I == CycNum.rational(-2)
-    x = cyc(1, {0: Fraction(5, 3)})
+    x = canonicalize(1, {0: Fraction(5, 3)})
     assert x.conductor == 1 and x.try_rational() == Fraction(5, 3)
 
 
@@ -50,21 +49,21 @@ def test_arith_examples():
 
 def test_conjugate_examples():
     assert CycNum.rational(Fraction(7, 2)).conjugate() == CycNum.rational(Fraction(7, 2))
-    assert ROOT2_I.conjugate() == cyc(8, {5: 1, 7: 1})
+    assert ROOT2_I.conjugate() == canonicalize(8, {5: 1, 7: 1})
     assert ROOT2_I.conjugate() == -ROOT2_I
 
 
 def test_try_rational():
     assert CycNum.rational(-2).try_rational() == -2
     assert ROOT2_I.try_rational() is None
-    assert cyc(3, {1: 1, 2: 1}).try_rational() == -1
+    assert canonicalize(3, {1: 1, 2: 1}).try_rational() == -1
 
 
 def test_embedding_roundtrip():
     # the same value written at twice the conductor canonicalizes back
-    assert cyc(16, {2: 1, 6: 1}) == ROOT2_I
-    assert cyc(8, {2: 1}) == zeta(4)
-    assert cyc(12, {2: 1}) == zeta(6)
+    assert canonicalize(16, {2: 1, 6: 1}) == ROOT2_I
+    assert canonicalize(8, {2: 1}) == zeta(4)
+    assert canonicalize(12, {2: 1}) == zeta(6)
 
 
 def test_rationals_live_at_conductor_one():
@@ -103,7 +102,7 @@ def cycnums(draw):
     coeffs = {
         draw(st.integers(0, n - 1)): draw(small_rationals) for _ in range(size)
     }
-    return cyc(n, coeffs)
+    return canonicalize(n, coeffs)
 
 
 @given(cycnums(), cycnums(), cycnums())
@@ -129,7 +128,7 @@ def test_conjugation_is_ring_hom_and_involution(a, b):
 @given(cycnums())
 @settings(max_examples=60, deadline=None)
 def test_double_conductor_roundtrip(a):
-    lifted = cyc(2 * a.conductor, {2 * k: v for k, v in a.coeffs.items()})
+    lifted = canonicalize(2 * a.conductor, {2 * k: v for k, v in a.coeffs.items()})
     assert lifted == a
 
 
@@ -384,7 +383,7 @@ def test_arithmetic_matches_sympy_cyclotomic_remainders():
         n = rng.randint(1, 48)
         phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
         raw_a, raw_b = random_raw(n), random_raw(n)
-        a, b = cyc(n, raw_a), cyc(n, raw_b)
+        a, b = canonicalize(n, raw_a), canonicalize(n, raw_b)
         pa, pb = raw_poly(raw_a, n), raw_poly(raw_b, n)
         assert poly(a, n).rem(phi) == pa.rem(phi)
         assert poly(a + b, n).rem(phi) == (pa + pb).rem(phi)
@@ -396,5 +395,5 @@ def test_arithmetic_matches_sympy_cyclotomic_remainders():
         shift = sympy.Poly(x ** rng.randrange(n), x, domain="QQ") * phi * rng.randint(1, 3)
         other = (pa + shift).rem(sympy.Poly(x**n - 1, x, domain="QQ"))
         raw_c = {e: Fraction(str(c)) for (e,), c in other.as_dict().items()}
-        assert cyc(n, raw_c) == a
-        assert (cyc(n, raw_c) == a + ONE) is False
+        assert canonicalize(n, raw_c) == a
+        assert (canonicalize(n, raw_c) == a + ONE) is False

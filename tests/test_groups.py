@@ -95,16 +95,38 @@ def test_linear_character_counts():
     assert len(linear_characters(t6)) == 6
 
 
+def complex_class_count(group) -> int:
+    return sum(len(m.classes) for m in group.merged if not m.real)
+
+
+def split_row_count(fusion) -> int:
+    return sum(1 for chi, p in enumerate(fusion.row_partner) if p != chi)
+
+
 def test_fusion_examples():
-    _, t6 = bundled("c6")
+    g6, t6 = bundled("c6")
     f = fuse_classes(t6, 1)
-    assert f.stats["n_starstar"] == 4
-    assert f.stats["n_eta_starstar"] == 3
+    assert len(g6.merged) == 4
+    assert len(f.eta_reps) == 3
     # odd-order abelian groups: every non-identity class is complex
     for name in ("c3", "c5"):
         g, t = bundled(name)
-        f = fuse_classes(t, 0)
-        assert f.stats["n_C"] == g.order - 1
+        assert complex_class_count(g) == g.order - 1
+        assert fuse_classes(t, 0).eta_signs == (1,) + (0,) * ((g.order - 1) // 2)
+
+
+def test_eta_signs_are_xi_on_the_real_merged_classes():
+    for name in bundled_names():
+        group, table = bundled(name)
+        for xi in linear_characters(table):
+            signs = fuse_classes(table, xi).eta_signs
+            assert len(signs) == len(group.merged)
+            for m, sign in zip(group.merged, signs):
+                if m.real:
+                    assert sign in (1, -1)
+                    assert CycNum.rational(sign) == table.value(xi, m.rep_element)
+                else:
+                    assert sign == 0
 
 
 def test_fusion_is_memoized_on_the_table_and_needs_its_group():
@@ -187,9 +209,9 @@ def test_tensor_rows_found_once_per_pair(monkeypatch):
 def test_gl2f3_fusion_stats():
     g, t = bundled("gl2f3")
     f = fuse_classes(t, t.row_by_name("chi2"))
-    assert f.stats["n_xi"] == 1
-    assert f.stats["n_C"] == 2
-    assert f.stats["n_C_xi_rows"] == 4
+    assert f.eta_signs.count(-1) == 1
+    assert complex_class_count(g) == 2
+    assert split_row_count(f) == 4
     # the two order-8 classes are mutually inverse and merge; all other
     # classes are self-inverse (recomputed from the group, not assumed)
     complex_merged = [m for m in g.merged if not m.real]
@@ -224,12 +246,14 @@ def test_counting_identities_everywhere():
     for name in bundled_names():
         group, table = bundled(name)
         for xi in linear_characters(table):
-            s = fuse_classes(table, xi).stats
-            assert Fraction(s["n_C"], 2) + s["n_xi"] == Fraction(s["n_C_xi_rows"], 2)
-            assert s["n_R"] - 2 * s["n_xi"] == s["n_R_xi_rows"]
-            assert s["n_R_xi_rows"] + Fraction(s["n_C_xi_rows"], 2) == (
-                s["n_starstar"] - s["n_xi"]
-            )
+            f = fuse_classes(table, xi)
+            n_c, n_xi = complex_class_count(group), f.eta_signs.count(-1)
+            n_r = sum(1 for m in group.merged if m.real)
+            n_split = split_row_count(f)
+            n_self = len(table.rows) - n_split
+            assert Fraction(n_c, 2) + n_xi == Fraction(n_split, 2)
+            assert n_r - 2 * n_xi == n_self
+            assert n_self + Fraction(n_split, 2) == len(group.merged) - n_xi
 
 
 def test_table_rejects_wrong_class_reps():

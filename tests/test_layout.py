@@ -8,8 +8,9 @@ count, and a plain method (not a property) only where it is called,
 property of the same name does not count either; text in strings and
 comments counts for none.  Every name a module of src/wreathsph, tests/
 or scripts/ imports is used in that module, every name the package
-exports is defined in the module it is read from, and every named
-parameter of a function in the package is read in its body."""
+exports is defined in the module it is read from, every named
+parameter of a function in the package is read in its body, and no
+function of the package only forwards its parameters to another."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,27 @@ def test_every_parameter_is_read():
                 and not arg.arg.startswith("_")
             ]
     assert unread == []
+
+
+def test_no_function_only_forwards_its_parameters():
+    # a body of an optional docstring and `return f(p1, ..., pk)`, the
+    # function's own parameters unchanged and in order, is a second name for f
+    forwarders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            params = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+            if (
+                len(body) == 1
+                and isinstance(body[0], ast.Return)
+                and isinstance(call := body[0].value, ast.Call)
+                and not call.keywords
+                and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params
+                and not (node.args.vararg or node.args.kwonlyargs or node.args.kwarg)
+            ):
+                forwarders.append(f"{path.stem}.{node.name}")
+    assert forwarders == []

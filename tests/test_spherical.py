@@ -292,12 +292,12 @@ def test_ch_image_product_grading_and_zonal_case():
         rhs = ch_image_product(ctx, lam)
         assert {k.weight for k in rhs.terms} == {2}
     # zonal route: the trivial-group image is the Jack expansion itself
-    from wreathsph.symfunc import jack_p_expr
+    from wreathsph.symfunc import jack_p
 
     lam = MultiPartition([P((4,))])
     rhs = ch_image_product(ctx, lam)
     # from_p_expr builds over ("x",); c1 has one class, so its terms carry over
-    jack = SymFuncElem.from_p_expr(jack_p_expr(P((2,)), 2))
+    jack = SymFuncElem.from_p_expr(jack_p(P((2,)), 2))
     assert rhs == SymFuncElem(ctx.merged_names, jack.terms)
 
 

@@ -751,6 +751,26 @@ def test_coset_label_sets_match_reference_families():
                     )
 
 
+def test_coset_label_set_reads_no_character_value(monkeypatch):
+    # the slot families come from the fusion's eta_signs alone
+    from wreathsph.groups import CharacterTable
+
+    tables = [bundled(name)[1] for name in bundled_names()]
+    for table in tables:
+        for xi in linear_characters(table):
+            fuse_classes(table, xi)
+
+    def no_value(*_args):
+        raise AssertionError("coset_label_set read a character value")
+
+    monkeypatch.setattr(CharacterTable, "value", no_value)
+    for table in tables:
+        for xi in linear_characters(table):
+            for sign in (1, -1):
+                for n in range(1, 4):
+                    coset_label_set(table, xi, sign, n)
+
+
 def test_label_sets_evaluate_each_indicator_once(monkeypatch):
     # a fresh (table, xi): building both label sets for every pi and n, and
     # reading nu on their contexts, evaluates each self-paired row's
