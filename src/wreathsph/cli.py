@@ -36,7 +36,9 @@ from .spherical import (
     cache_store,
     canonical_json,
     csv_label,
+    csv_text,
     reconcile,
+    run_header,
     table_csv,
 )
 from .wreath import PI_NAMES, decompose_induced
@@ -101,19 +103,14 @@ def cmd_nu2(args) -> int:
         [twisted_indicator(table, xi, chi) for xi in lin]
         for chi in range(len(table.rows))
     ]
+    cols = [table.names[xi] for xi in lin]
     if args.format == "json":
-        obj = {
-            "group": group.name,
-            "rows": list(table.names),
-            "cols": [table.names[xi] for xi in lin],
-            "matrix": matrix,
-        }
-        _emit(canonical_json(obj), args.out)
+        obj = {"group": group.name, "rows": list(table.names), "cols": cols, "matrix": matrix}
+        text = canonical_json(obj)
     else:
-        lines = ["chi," + ",".join(table.names[xi] for xi in lin)]
-        for chi, row in enumerate(matrix):
-            lines.append(table.names[chi] + "," + ",".join(str(v) for v in row))
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = ([name, *map(str, row)] for name, row in zip(table.names, matrix))
+        text = csv_text(["chi", *cols], rows)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -123,22 +120,14 @@ def cmd_decompose(args) -> int:
     dec = decompose_induced(table, ctx.theta, ctx.caps)
     items = sorted(dec.items(), key=lambda kv: kv[0].sort_key())
     if args.format == "json":
-        obj = {
-            "group": group.name,
-            "xi": args.xi,
-            "pi": args.pi,
-            "n": args.n,
-            "components": [
-                {"label": lam.to_json(table.names), "multiplicity": m}
-                for lam, m in items
-            ],
-        }
-        _emit(canonical_json(obj), args.out)
+        components = [
+            {"label": lam.to_json(table.names), "multiplicity": m} for lam, m in items
+        ]
+        text = canonical_json({**run_header(ctx), "components": components})
     else:
-        lines = ["label,multiplicity"]
-        for lam, m in items:
-            lines.append(f"{csv_label(lam.to_json(table.names))},{m}")
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = ([csv_label(lam.to_json(table.names)), str(m)] for lam, m in items)
+        text = csv_text(["label", "multiplicity"], rows)
+    _emit(text, args.out)
     return EXIT_OK
 
 

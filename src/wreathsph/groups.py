@@ -199,13 +199,12 @@ def load_group(source) -> FiniteGroup:
             raise GroupError(f"{name}: 'mul' has no rows")
         group = FiniteGroup(name, obj["mul"])
     elif "perm_gens" in obj:
-        gens, cap = obj["perm_gens"], obj.get("cap", 10000)
+        gens = obj["perm_gens"]
         _require(_list_of(gens, list) and all(_list_of(g, int) for g in gens),
                  name, "perm_gens", "a list of permutations of integers")
-        _require(_typed(cap, int), name, "cap", "an integer")
         if not gens:
             raise GroupError(f"{name}: 'perm_gens' lists no generators")
-        group = group_from_perm_gens(name, gens, cap=cap)
+        group = group_from_perm_gens(name, gens)
     else:
         raise GroupError(f"{name}: group file needs a 'mul' table or 'perm_gens'")
     order = obj.get("order", group.order)

@@ -494,34 +494,30 @@ class TableCells(Mapping):
         return ((i, j) for i in range(len(self.grid)) for j in range(self.ncols))
 
 
+def run_header(ctx: SphericalContext) -> dict:
+    """The (group, xi, pi, n) that names a run in each of its JSON forms."""
+    return {"group": ctx.group.name, "xi": ctx.table.names[ctx.xi], "pi": ctx.pi, "n": ctx.n}
+
+
 @dataclass
 class SphericalTable:
-    group_name: str
-    xi_name: str
-    pi: str
-    n: int
-    char_names: tuple[str, ...]
-    merged_names: tuple[str, ...]
-    rows: tuple[MultiPartition, ...]
-    cols: tuple[MultiPartition, ...]
-    grid: list[list[CycNum]]  # one list of values per row, aligned with cols
+    ctx: SphericalContext  # names the run and its rows and columns
+    grid: list[list[CycNum]]  # one list of values per row, aligned with ctx.cols
     engine: str
 
     @property
     def values(self) -> TableCells:
-        return TableCells(self.grid, len(self.cols))
+        return TableCells(self.grid, len(self.ctx.cols))
 
     def to_json_obj(self) -> dict:
+        ctx = self.ctx
         return {
             "format": TABLE_FORMAT,
-            "group": self.group_name,
-            "xi": self.xi_name,
-            "pi": self.pi,
-            "n": self.n,
-            "rows": [lam.to_json(self.char_names) for lam in self.rows],
-            "cols": [rho.to_json(self.merged_names) for rho in self.cols],
+            **run_header(ctx),
+            "rows": [lam.to_json(ctx.table.names) for lam in ctx.rows],
+            "cols": [rho.to_json(ctx.merged_names) for rho in ctx.cols],
             "values": [[str(v) for v in row] for row in self.grid],
-            "engines": [[self.engine] * len(self.cols)] * len(self.rows),
+            "engines": [[self.engine] * len(ctx.cols)] * len(ctx.rows),
         }
 
     def to_json(self) -> str:
@@ -537,13 +533,20 @@ def csv_label(label: dict) -> str:
     return ";".join(f"{k}:{'+'.join(map(str, v))}" for k, v in label.items()) or "1"
 
 
+def csv_text(header: list[str], rows) -> str:
+    """The one CSV writer: the header line, then one line per row, each a
+    label, a comma and its fields joined by commas, so that a line with
+    no fields still ends in a comma."""
+    return "".join(f"{label},{','.join(fields)}\n" for label, *fields in (header, *rows))
+
+
 def table_csv(obj: dict) -> str:
     """The CSV form of a table's JSON object: a header of column labels,
     then one line per row."""
-    lines = [",".join(["label"] + [csv_label(c) for c in obj["cols"]])]
-    for row_label, row in zip(obj["rows"], obj["values"]):
-        lines.append(",".join([csv_label(row_label)] + row))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["label", *map(csv_label, obj["cols"])],
+        ([csv_label(label), *row] for label, row in zip(obj["rows"], obj["values"])),
+    )
 
 
 def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
@@ -566,26 +569,12 @@ def build_table(ctx: SphericalContext, engine: str = "brute") -> SphericalTable:
         else:
             row = spherical_from_symfunc(ctx, lam)
         grid.append(row)
-    return SphericalTable(
-        ctx.group.name,
-        ctx.table.names[ctx.xi],
-        ctx.pi,
-        ctx.n,
-        ctx.table.names,
-        ctx.merged_names,
-        ctx.rows,
-        ctx.cols,
-        grid,
-        engine,
-    )
+    return SphericalTable(ctx, grid, engine)
 
 
 @dataclass
 class ReconcileReport:
-    group_name: str
-    xi_name: str
-    pi: str
-    n: int
+    ctx: SphericalContext  # names the run
     cells: list[dict]
     row_images: list[dict]
     mismatches: list[dict]
@@ -593,21 +582,15 @@ class ReconcileReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return canonical_json({
             "format": 1,
-            "group": self.group_name,
-            "xi": self.xi_name,
-            "pi": self.pi,
-            "n": self.n,
+            **run_header(self.ctx),
             "cells": self.cells,
             "row_images": self.row_images,
             "mismatches": self.mismatches,
             "ok": self.ok(),
-        }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_obj())
+        })
 
 
 def reconcile(ctx: SphericalContext) -> ReconcileReport:
@@ -617,7 +600,8 @@ def reconcile(ctx: SphericalContext) -> ReconcileReport:
     cells = []
     row_images = []
     mismatches = []
-    for i, lam in enumerate(ctx.rows):
+    for lam in ctx.rows:
+        row = lam.to_json(ctx.table.names)
         one = ctx.brute_at_element(lam, w_identity(2 * ctx.n))
         if one != ONE:
             mismatches.append(
@@ -629,7 +613,7 @@ def reconcile(ctx: SphericalContext) -> ReconcileReport:
             brute_vals[rho] = b
             c = spherical_closed(ctx, lam, rho)
             cell = {
-                "row": ctx.rows[i].to_json(ctx.table.names),
+                "row": row,
                 "col": rho.to_json(ctx.merged_names),
                 "brute": str(b),
                 "closed": None if c is None else str(c),
@@ -639,23 +623,11 @@ def reconcile(ctx: SphericalContext) -> ReconcileReport:
                 mismatches.append({"kind": "closed-vs-brute", **cell})
         lhs = ch_map(ctx, brute_vals).scale(Fraction(1, ctx.hg_size))
         rhs = ch_image_product(ctx, lam)
-        entry = {
-            "row": lam.to_json(ctx.table.names),
-            "lhs": lhs.to_json(),
-            "rhs": rhs.to_json(),
-        }
+        entry = {"row": row, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
         row_images.append(entry)
         if lhs != rhs:
             mismatches.append({"kind": "symfunc-vs-brute", **entry})
-    return ReconcileReport(
-        ctx.group.name,
-        ctx.table.names[ctx.xi],
-        ctx.pi,
-        ctx.n,
-        cells,
-        row_images,
-        mismatches,
-    )
+    return ReconcileReport(ctx, cells, row_images, mismatches)
 
 
 # -- content-addressed table cache ------------------------------------------------------------
@@ -706,9 +678,12 @@ def atomic_write(path: str | Path, text: str) -> None:
     if path.exists() and not path.is_file():  # a device or a pipe: nothing to replace
         path.write_text(text)
         return
-    path = path.resolve()  # a link is written through
+    asked, path = str(path), path.resolve()  # a link is written through
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:  # name the file asked for, not the temporary one
+        raise OSError(e.errno, e.strerror, asked) from None
     try:
         if path.exists():  # keep the mode of the file it replaces
             os.chmod(fd, path.stat().st_mode & 0o7777)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,41 @@ def test_decompose_output(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert all(c["multiplicity"] == 1 for c in obj["components"])
     assert len(obj["components"]) == 3
+
+
+# The CLI forms that no benchmark job prints: nu2 json and csv, decompose
+# csv and json, and reconcile.  SHA-256 over their stdout, in this order;
+# a change that alters output on purpose updates it and says why in
+# CHANGES.md, as for a golden file.
+CLI_FORMS = (
+    ("nu2", "gl2f3", "--format", "json"),
+    ("nu2", "q8"),
+    ("decompose", "q8", "--xi", "chi2", "--pi", "triv", "--n", "2"),
+    ("decompose", "c4", "--xi", "chi2", "--pi", "delta-iota", "--n", "2", "--format", "json"),
+    ("reconcile", "c2", "--xi", "chi2", "--pi", "iota", "--n", "2"),
+)
+CLI_FORMS_DIGEST = "f2caf0522c9ab5a2854b7b98c36adde1f710e227b679dd36a74088d5ccf46280"
+
+
+def test_cli_forms_print_the_pinned_bytes(capsys):
+    h = hashlib.sha256()
+    for cmd, name, *rest in CLI_FORMS:
+        g, t = paths(name)
+        assert main([cmd, "--group", g, "--table", t, *rest]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == CLI_FORMS_DIGEST
+
+
+def test_nu2_csv_without_a_linear_character_keeps_its_commas(tmp_path, capsys):
+    # c1 with its one value negated passes validation but has no degree-1
+    # row: the header and the row each end in a comma before no field
+    g, t = paths("c1")
+    obj = json.loads(open(t).read())
+    obj["chars"] = [["-1"]]
+    bad = tmp_path / "c1_negated.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["nu2", "--group", g, "--table", str(bad)]) == 0
+    assert capsys.readouterr().out == "chi,\nchi1,\n"
 
 
 def test_unknown_pi_is_usage_error(capsys):
@@ -283,7 +319,7 @@ def test_selftest_rejects_unknown_criteria(capsys):
         ("table", {"names": ["chi1", "chi2"]}),
         ("group", {"perm_gens": [5]}),
         ("group", {"mul": 5}),
-        ("group", {"perm_gens": [[2, 1]], "cap": "10"}),
+        ("group", {"perm_gens": [[2, 1]], "order": 3}),
         ("group", {"mul": [[0, 1], [1, 0]], "order": "2"}),
         ("table", {"classes": 5, "chars": [["1", "1"], ["1", "-1"]]}),
         ("table", {"classes": [0, 1], "chars": [[1]]}),
@@ -503,6 +539,16 @@ def test_out_writes_through_a_link_and_keeps_the_mode(tmp_path):
     assert target.stat().st_mode & 0o777 == 0o600
     assert fresh.stat().st_mode & 0o777 == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "link.csv", "table.csv"]
+
+
+def test_out_into_a_missing_directory_names_the_target(tmp_path, capsys):
+    g, t = paths("c2")
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["nu2", "--group", g, "--table", t, "--out", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{target}'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_to_a_pipe_writes_into_it():

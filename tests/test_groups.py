@@ -70,6 +70,12 @@ def test_closure_cap():
         group_from_perm_gens("big", [[2, 3, 4, 5, 6, 7, 8, 1]], cap=4)
 
 
+def test_a_group_file_cannot_raise_or_lower_its_closure_cap():
+    # a file's "cap" key is not read: perm_gens close under the default limit
+    group = load_group({"name": "c8", "perm_gens": [[2, 3, 4, 5, 6, 7, 8, 1]], "cap": 4})
+    assert group.order == 8
+
+
 def test_corrupted_table_reports_violation():
     group = load_group(bundled_group_path("q8"))
     obj = json.loads(bundled_table_path("q8").read_text())
