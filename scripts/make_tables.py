@@ -2,6 +2,9 @@
 directory, one CSV per (group, twist, sign character, degree).
 
 Usage: python scripts/make_tables.py OUTDIR [group ...]
+
+Each group is one of c1, c2, c3, c4, c5, c6 and q8 (all of them when none
+is given); anything else prints this usage and exits 2.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ DEGREES = {"c1": 3, "c2": 3, "c3": 2, "c4": 2, "c5": 1, "c6": 1, "q8": 1}
 
 
 def main() -> int:
-    if len(sys.argv) < 2:
-        print(__doc__)
+    names = sys.argv[2:] or list(DEGREES)
+    if len(sys.argv) < 2 or any(name not in DEGREES for name in names):
+        print(__doc__, file=sys.stderr)
         return 2
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
-    names = sys.argv[2:] or list(DEGREES)
     for name in names:
         group, table = bundled(name)
         for xi in linear_characters(table):

@@ -3,7 +3,8 @@
 Usage: python scripts/run_reconcile.py [max_n]
 
 Prints one line per (group, twist, sign character, degree) configuration and
-exits nonzero if any engine pair disagrees anywhere.
+exits 1 if any engine pair disagrees anywhere.  max_n, a non-negative
+integer, caps the degree; anything else prints this usage and exits 2.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ BUDGETS = {  # group name -> max degree worth running exhaustively
 
 
 def main() -> int:
-    cap = int(sys.argv[1]) if len(sys.argv) > 1 else 99
+    args = sys.argv[1:]
+    if len(args) > 1 or not all(arg.isdecimal() for arg in args):
+        print(__doc__, file=sys.stderr)
+        return 2
+    cap = int(args[0]) if args else 99
     bad = 0
     for name, nmax in BUDGETS.items():
         group, table = bundled(name)

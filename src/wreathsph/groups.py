@@ -127,7 +127,10 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _close_permutations(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
+CLOSURE_CAP = 10000  # the most elements a group closed from perm_gens may have
+
+
+def _close_permutations(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     deg = len(gens[0])
     if any(len(g) != deg or sorted(g) != list(range(deg)) for g in gens):
         raise GroupError("generators must be permutations of equal degree")
@@ -141,17 +144,17 @@ def _close_permutations(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int
                 q = tuple(p[g[i]] for i in range(deg))
                 if q not in seen:
                     seen.add(q)
-                    if len(seen) > cap:
-                        raise CapExceeded("closure-elements", cap, f"> {cap}")
+                    if len(seen) > CLOSURE_CAP:
+                        raise CapExceeded("closure-elements", CLOSURE_CAP, f"> {CLOSURE_CAP}")
                     nxt.append(q)
         frontier = nxt
     return sorted(seen)
 
 
-def group_from_perm_gens(name: str, gens, cap: int = 10000) -> FiniteGroup:
+def group_from_perm_gens(name: str, gens) -> FiniteGroup:
     """Close 1-indexed one-line permutation generators and build the group."""
     gens0 = [tuple(v - 1 for v in g) for g in gens]
-    elements = _close_permutations(gens0, cap)
+    elements = _close_permutations(gens0)
     index = {p: i for i, p in enumerate(elements)}
     deg = len(elements[0])
     mul = [

@@ -47,7 +47,6 @@ from .partitions import (
     shifted_tableau_count,
 )
 from .symfunc import (
-    PTerms,
     SymFuncElem,
     jack_p,
     pack_key,
@@ -123,15 +122,15 @@ class SphericalContext:
         self._factors: dict[tuple[int, Partition], SymFuncElem] = {}
         # _numerator's values, by (row, class element, r mod 2)
         self._numerators: dict[tuple[int, int, int], CycNum] = {}
-        # _push_single's change_alphabet memos, by row
+        # _block_factor's change_alphabet memos, by row
         self._images: dict[int, dict] = {}
         self._cells: dict[tuple, CycNum] = {}  # SymFuncElem.coefficients' memo
 
     # -- shared precomputations -------------------------------------------------
 
     @cached_property
-    def theta_factors(self) -> dict[int, list[tuple[tuple[int, ...], CycNum]]]:
-        """conj(theta) per doubled base and value of pi, read off the
+    def theta_factors(self) -> list[tuple[tuple[int, ...], CycNum]]:
+        """conj(xi) of the base product per doubled base, read off the
         construction of K once per context (conj_theta_table)."""
         return conj_theta_table(self.theta, self.caps)
 
@@ -222,21 +221,18 @@ def _classical_row(shape: Partition, pi: str) -> dict[Partition, Fraction]:
       triv: 2^l(rho) z [p_rho] J^(2)_mu / (2^n n!);
       iota: z [p_rho] Q_mu / (2^n g^mu), g^mu the number of standard
             shifted tableaux of mu;
-    then, under delta, times (-1)^l(rho_hat): sgn restricted to H_n is
-    delta, and the doubled-cycle permutation of rho_hat has that sign."""
+    each term, under delta, times (-1)^l(rho_hat): sgn restricted to H_n
+    is delta, and the doubled-cycle permutation of rho_hat has that sign."""
     bits, n = pi_bits(pi), shape.size // 2
     mu = self_row_shapes(bits, n).get(shape)
     if mu is None:
         return {}
+    eps = -1 if bits & DELTA else 1
     if bits & IOTA:
-        scale = Fraction(1, 2**n * shifted_tableau_count(mu))
-        row = {rho: rho.aut_order() * c * scale for rho, c in schurq_p(mu)}
+        scale, f, base = Fraction(1, 2**n * shifted_tableau_count(mu)), schurq_p(mu), eps
     else:
-        scale = Fraction(1, 2**n * factorial(n))
-        row = {rho: 2 ** len(rho) * rho.aut_order() * c * scale for rho, c in jack_p(mu, 2)}
-    if bits & DELTA:
-        return {rho: -v if len(rho) & 1 else v for rho, v in row.items()}
-    return row
+        scale, f, base = Fraction(1, 2**n * factorial(n)), jack_p(mu, 2), 2 * eps
+    return {rho: base ** len(rho) * rho.aut_order() * c * scale for rho, c in f}
 
 
 # -- closed-form engine ------------------------------------------------------------------
@@ -259,14 +255,14 @@ def spherical_closed(
         omega = classical_spherical(lam[rep], block_pi(ctx.pi, nu), rho_hat)
         if not omega:
             return ZERO
-        val = CycNum.rational(Fraction(nu**n) * omega)
+        val = CycNum.rational(Fraction(nu, table.degrees[rep]) ** n * omega)
         # the averaging engine fixes the orientation: the character is taken
         # at the inverse of the chosen class representative
         for i, m in enumerate(merged):
             ell = len(rho[i])
             if ell:
                 val = val * table.value(rep, m.rep_element).conjugate() ** ell
-        return val * Fraction(1, table.degrees[rep] ** n)
+        return val
     # split pair: character-scaled product over parts; under delta, the
     # sign twist of the transposed shape's character
     lam_rep = lam[rep]
@@ -351,55 +347,47 @@ def _numerator_once(ctx: SphericalContext, chi: int, g: int, r: int) -> CycNum:
     return w
 
 
-def _push_single(ctx: SphericalContext, chi: int, f: PTerms) -> SymFuncElem:
-    """Push a single-alphabet p-expression through the change of variables
-    p_r(chi) -> sum over merged classes R of _numerator / (k zeta_R) p_r(R).
-
-    The scale k was pinned by the averaging engine: for the unsigned
-    characters k = 2 on real classes and 1 on complex ones; for the signed
-    characters k = 2 on every class when chi's block is self-paired and 1
-    when it is a split pair.  Every push for chi shares the memo
-    ctx._images[chi], so each power-sum monomial is pushed once per
-    (context, chi).
-    """
-    self_paired = ctx.fusion.row_partner[chi] == chi
-
-    def coeff(_a, b, r):
-        m = ctx.group.merged[ctx.merged_names.index(b)]
-        k = 2 if (m.real if ctx.sign == 1 else self_paired) else 1
-        zc = ctx.group.centralizer_orders[m.classes[0]]
-        return _numerator_once(ctx, chi, m.rep_element, r) * Fraction(1, k * zc)
-
-    images = ctx._images.setdefault(chi, {})
-    return SymFuncElem.from_p_expr(f).change_alphabet(coeff, ctx.merged_names, images)
-
-
 def _block_factor(ctx: SphericalContext, rep: int, shape: Partition) -> SymFuncElem:
-    """The pushed classical factor of one character block, with its scalar.
-    The block sees block_pi(pi, nu), and its factor is sign-twisted where
-    that contains delta.  A self-paired block reads its mu off
-    self_row_shapes (J^(2)_mu, or Q_mu), and its scalar carries nu^m: Q
-    lies in the odd power sums, where the sign twist is (-1)^m.  A split
-    pair reads s at its shape, transposed under delta."""
+    """The pushed classical factor of one character block, with its scalar:
+    one change of variables p_r(rep) -> sum over merged classes R of
+    eps t^r _numerator / (k zeta_R) p_r(R), then one scale by norm.  The
+    block sees block_pi(pi, nu), and eps = -1 where that contains delta:
+    over a factor of weight m, t^r gives t^m and eps the sign twist.  A
+    self-paired block reads mu off self_row_shapes, with t = nu |G| / d and
+    norm 1 (J^(2)_mu) or m!/g^mu (Q_mu); a split pair reads s at its shape
+    own, transposed under delta, with t = |G| / d and norm hook(own).
+
+    The averaging engine pinned k: for the unsigned characters 2 on real
+    classes and 1 on complex ones; for the signed ones 2 on every class of
+    a self-paired block and 1 of a split pair.  eps and t are fixed by the
+    context and rep, so every push for rep shares the memo ctx._images[rep]
+    and pushes each power-sum monomial once per (context, rep)."""
     gsize, d = ctx.group.order, ctx.table.degrees[rep]
     nu = ctx.fusion.nu[rep]  # 0 on a split pair
     bits = pi_bits(block_pi(ctx.pi, nu))
-    if ctx.fusion.row_partner[rep] == rep:
+    self_paired = ctx.fusion.row_partner[rep] == rep
+    if self_paired:
         m = shape.size // 2
         mu = self_row_shapes(bits, m)[shape]
-        scalar = Fraction(nu * gsize, d) ** m
+        t = Fraction(nu * gsize, d)
         if bits & IOTA:
-            f = schurq_p(mu)
-            scalar *= Fraction(factorial(m), shifted_tableau_count(mu))
+            f, norm = schurq_p(mu), Fraction(factorial(m), shifted_tableau_count(mu))
         else:
-            f = jack_p(mu, 2)
+            f, norm = jack_p(mu, 2), 1
     else:
-        m = shape.size
         own = shape.transpose() if bits & DELTA else shape
-        f = schur_p(own)
-        scalar = Fraction(gsize, d) ** m * own.hook_product()
-    pushed = _push_single(ctx, rep, f).scale(scalar)
-    return pushed.sign_twist() if bits & DELTA else pushed
+        f, norm, t = schur_p(own), own.hook_product(), Fraction(gsize, d)
+    eps = -1 if bits & DELTA else 1
+
+    def coeff(_a, b, r):
+        cls = ctx.group.merged[ctx.merged_names.index(b)]
+        k = 2 if (cls.real if ctx.sign == 1 else self_paired) else 1
+        zc = ctx.group.centralizer_orders[cls.classes[0]]
+        return _numerator_once(ctx, rep, cls.rep_element, r) * (eps * t**r / (k * zc))
+
+    images = ctx._images.setdefault(rep, {})
+    pushed = SymFuncElem.from_p_expr(f).change_alphabet(coeff, ctx.merged_names, images)
+    return pushed.scale(norm)
 
 
 def ch_image_product(ctx: SphericalContext, lam: MultiPartition) -> SymFuncElem:

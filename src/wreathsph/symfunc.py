@@ -243,14 +243,10 @@ def pack_key(key: MultiPartition) -> int:
     return sum(_pack_partition(lam, slot, size) for slot, lam in enumerate(key))
 
 
-def _fields(key: int) -> bytes:
-    return key.to_bytes((key.bit_length() + 7) // 8, "little")
-
-
 def unpack_key(key: int, size: int) -> MultiPartition:
     """The multipartition over size labels of a packed monomial."""
     parts: list[list[int]] = [[] for _ in range(size)]
-    for index, m in enumerate(_fields(key)):
+    for index, m in enumerate(key.to_bytes((key.bit_length() + 7) // 8, "little")):
         if m:
             r, slot = divmod(index, size)
             parts[slot] += [r + 1] * m
@@ -386,15 +382,6 @@ class SymFuncElem:
         vecs = _product(_lift(self._vecs, self._n, n), _lift(other._vecs, other._n, n), n)
         den = self._den * other._den
         return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, weight)
-
-    def sign_twist(self) -> "SymFuncElem":
-        """The ring map p_r(a) -> -p_r(a): each monomial times (-1)^(its
-        number of parts), the sum of its packed fields."""
-        vecs = {
-            k: [-x for x in v] if sum(_fields(k)) & 1 else v for k, v in self._vecs.items()
-        }
-        n, den = self._n, self._den
-        return SymFuncElem._from_vectors(self.alphabet, n, vecs, den, self._weight)
 
     # -- reduction to CycNum ---------------------------------------------------
 

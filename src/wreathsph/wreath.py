@@ -481,25 +481,24 @@ def irrep_label_set(
 
 def conj_theta_table(
     theta: PairedChar, caps: Caps = Caps()
-) -> dict[int, list[tuple[tuple[int, ...], CycNum]]]:
+) -> list[tuple[tuple[int, ...], CycNum]]:
     """K is its doubled bases times H_n, and theta(h) = xi(g_1...g_n) pi(sigma)
-    for h = (doubled base of g_1, ..., g_n ; sigma).  So per value s = +-1 of
-    pi, this lists every doubled base with conj(theta) at (base ; sigma) for
-    any sigma with pi(sigma) = s, in the order of the bases: |G|^n entries
-    each.  Each value is formed once per base product, and equal values share
-    one object.  Refuses K over the element cap."""
+    for h = (doubled base of g_1, ..., g_n ; sigma).  So this lists every
+    doubled base with conj(xi(g_1...g_n)), in the order of the bases: |G|^n
+    entries, which times pi(sigma) give conj(theta) at (base ; sigma).  Each
+    value is formed once per base product, and equal values share one
+    object.  Refuses K over the element cap."""
     table, group = theta.table, theta.table.group
-    per_prod: dict[int, dict[int, CycNum]] = {}
+    per_prod: dict[int, CycNum] = {}
     distinct: dict[CycNum, CycNum] = {}
-    out: dict[int, list] = {1: [], -1: []}
+    out = []
     for base in _doubled_bases(group, theta.n, caps):
         prod = _doubled_base_product(group, base)
-        at = per_prod.get(prod)
-        if at is None:
+        v = per_prod.get(prod)
+        if v is None:
             v = table.value(theta.xi, prod).conjugate()
-            at = per_prod[prod] = {s: distinct.setdefault(w, w) for s, w in ((1, v), (-1, -v))}
-        for s, entries in out.items():
-            entries.append((base, at[s]))
+            v = per_prod[prod] = distinct.setdefault(v, v)
+        out.append((base, v))
     return out
 
 
@@ -523,7 +522,7 @@ def _cycle_walk(perm: Perm, xinv: WreathElement) -> list[tuple[int, tuple]]:
 
 def k_type_weights(
     theta: PairedChar,
-    factors: dict[int, list[tuple[tuple[int, ...], CycNum]]],
+    factors: list[tuple[tuple[int, ...], CycNum]],
     x: WreathElement,
 ) -> dict[MultiPartition, CycNum]:
     """One pass over the subgroup: per class type of h x^-1, the sum of
@@ -532,17 +531,17 @@ def k_type_weights(
 
     K is walked as H_n times the doubled bases: the cycles of h x^-1 depend
     only on h's permutation sigma, so they are walked once per sigma, and
-    each base only multiplies itself along them, weighted from the row of
-    factors at pi(sigma).  A bucket counts its distinct weights and is
-    summed once, and each nonzero bucket is labelled by class_type at its
-    first element."""
+    each base only multiplies itself along them.  A bucket counts its
+    distinct weights, each h adding pi(sigma) = +-1 to its base's weight,
+    and is summed once; each nonzero bucket is labelled by class_type at
+    its first element."""
     group = theta.table.group
     xinv = w_inv(group, x)
     mul, class_of = group.mul, group.class_of
     buckets: dict[tuple, tuple[WreathElement, dict[CycNum, int]]] = {}
     for sigma, sign in zip(hyperoct_perms(theta.n), hyperoct_pi(theta.pi, theta.n)):
         walk = _cycle_walk(sigma, xinv)
-        for base, w in factors[sign]:
+        for base, w in factors:
             key = []
             for length, steps in walk:
                 prod = 0
@@ -555,7 +554,7 @@ def k_type_weights(
             if bucket is None:
                 bucket = buckets[key] = (WreathElement(base, sigma), {})
             counts = bucket[1]
-            counts[w] = counts.get(w, 0) + 1
+            counts[w] = counts.get(w, 0) + sign
     out: dict[MultiPartition, CycNum] = {}
     for h0, counts in buckets.values():
         total = sum_products((w, ONE, c) for w, c in counts.items())

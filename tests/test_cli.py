@@ -458,6 +458,25 @@ def test_make_tables_script_writes_one_csv_per_configuration(tmp_path):
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == expect
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("make_tables.py", ("OUT", "gl2f3")),  # bundled, but with no degree budget
+        ("make_tables.py", ("OUT", "c9")),
+        ("make_tables.py", ()),
+        ("run_reconcile.py", ("x",)),
+        ("run_reconcile.py", ("1", "2")),
+    ],
+)
+def test_script_bad_arguments_are_usage_errors(tmp_path, script, args):
+    # the usage on stderr and exit 2, with no traceback and no output
+    out = tmp_path / "out"
+    proc = run_python(str(SCRIPTS / script), *(str(out) if a == "OUT" else a for a in args))
+    assert proc.returncode == 2
+    assert "Usage:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_python_dash_m_runs_the_command_line():
     proc = run_python("-m", "wreathsph", "selftest", "--criteria", "1")
     assert proc.returncode == 0, proc.stderr

@@ -66,8 +66,9 @@ def test_empty_group_data():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceeded):
-        group_from_perm_gens("big", [[2, 3, 4, 5, 6, 7, 8, 1]], cap=4)
+    # S_8, 40,320 elements, is past the 10,000-element closure limit
+    with pytest.raises(CapExceeded, match="closure-elements"):
+        load_group({"perm_gens": [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 7, 8, 1]]})
 
 
 def test_a_group_file_cannot_raise_or_lower_its_closure_cap():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -5,6 +6,7 @@ from collections import Counter
 from collections.abc import Mapping
 from datetime import timedelta
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,13 @@ from wreathsph.groups import (
     bundled_names,
     linear_characters,
 )
-from wreathsph.partitions import MultiPartition, Partition, multipartitions, partitions_of
+from wreathsph.partitions import (
+    MultiPartition,
+    Partition,
+    multipartitions,
+    partitions_of,
+    shifted_tableau_count,
+)
 from wreathsph.spherical import (
     SphericalContext,
     build_table,
@@ -34,19 +42,27 @@ from wreathsph.spherical import (
     reconcile,
     spherical_closed,
     spherical_from_symfunc,
+    _block_factor,
+    _numerator,
     _radical_factor,
 )
-from wreathsph.symfunc import SymFuncElem, sym_character
+from wreathsph.symfunc import SymFuncElem, jack_p, schur_p, schurq_p, sym_character
 from test_wreath import cycle_type, hg_elements, reference_pi
 from wreathsph.wreath import (
+    DELTA,
+    IOTA,
     PI_NAMES,
     WreathElement,
+    block_pi,
     coset_rep,
+    decompose_induced,
     delta_twin,
     hyperoct_perms,
     p_compose,
     p_inverse,
     perm_of_partition,
+    pi_bits,
+    self_row_shapes,
     w_identity,
     w_mul,
     wreath_order,
@@ -292,8 +308,6 @@ def test_ch_image_product_grading_and_zonal_case():
         rhs = ch_image_product(ctx, lam)
         assert {k.weight for k in rhs.terms} == {2}
     # zonal route: the trivial-group image is the Jack expansion itself
-    from wreathsph.symfunc import jack_p
-
     lam = MultiPartition([P((4,))])
     rhs = ch_image_product(ctx, lam)
     # from_p_expr builds over ("x",); c1 has one class, so its terms carry over
@@ -319,6 +333,59 @@ def test_symfunc_engine_matches_brute():
                 assert v == ctx.brute(lam, rho)
 
 
+def reference_block_factor(ctx, rep, shape):
+    """NOTES' factor table read literally: push the block's classical
+    function with the plain weight _numerator / (k zeta_R), scale by
+    (nu |G| / d)^m norm (|G| / d on a split pair), and where block_pi
+    contains delta negate every term with an odd number of parts."""
+    gsize, d = ctx.group.order, ctx.table.degrees[rep]
+    nu = ctx.fusion.nu[rep]
+    bits = pi_bits(block_pi(ctx.pi, nu))
+    self_paired = ctx.fusion.row_partner[rep] == rep
+    if self_paired:
+        m = shape.size // 2
+        mu = self_row_shapes(bits, m)[shape]
+        if bits & IOTA:
+            f, norm = schurq_p(mu), Fraction(factorial(m), shifted_tableau_count(mu))
+        else:
+            f, norm = jack_p(mu, 2), 1
+        scalar = Fraction(nu * gsize, d) ** m * norm
+    else:
+        own = shape.transpose() if bits & DELTA else shape
+        f, scalar = schur_p(own), Fraction(gsize, d) ** shape.size * own.hook_product()
+
+    def coeff(_a, b, r):
+        cls = ctx.group.merged[ctx.merged_names.index(b)]
+        k = 2 if (cls.real if ctx.sign == 1 else self_paired) else 1
+        zc = ctx.group.centralizer_orders[cls.classes[0]]
+        return _numerator(ctx, rep, cls.rep_element, r) * Fraction(1, k * zc)
+
+    pushed = SymFuncElem.from_p_expr(f).change_alphabet(coeff, ctx.merged_names)
+    pushed = pushed.scale(scalar)
+    if not bits & DELTA:
+        return pushed
+    return SymFuncElem(ctx.merged_names, {
+        key: -v if sum(len(part) for part in key) & 1 else v for key, v in pushed.terms.items()
+    })
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_block_factor_matches_the_factor_table(name):
+    # the one push with t^r and the delta sign in its weight equals the
+    # push, scale and sign twist of NOTES' factor table, for every
+    # representative row and shape the rows use: every linear xi and pi at
+    # n <= 3, n <= 2 on gl2f3
+    _, table = bundled(name)
+    for n in (1, 2) if name == "gl2f3" else (1, 2, 3):
+        for xi in linear_characters(table):
+            for pi in PI_NAMES:
+                ctx = ctx_of(name, xi, pi, n)
+                keys = {(rep, lam[rep]) for lam in ctx.rows for rep in ctx.row_blocks(lam)}
+                for rep, shape in keys:
+                    want = reference_block_factor(ctx, rep, shape)
+                    assert _block_factor(ctx, rep, shape) == want, (name, xi, pi, n, rep, shape)
+
+
 def bundled_configurations():
     """Every bundled (group, xi, pi, n) with xi linear and n <= 2, gl2f3 at
     n = 1 only."""
@@ -341,6 +408,29 @@ def test_brute_equals_symfunc_on_bundled_configurations(config):
         assert sym.values[cell] == value, (config, cell)
     for lam in ctx.rows:
         assert ctx.brute_at_element(lam, w_identity(2 * ctx.n)) == ONE
+
+
+# SHA-256 of every brute table's JSON, each followed by the sorted
+# multiplicities of its induced decomposition: every bundled group, linear
+# xi and pi, at n <= 2 on c1-c4 and q8 and n = 1 on c5, c6 and gl2f3.  A
+# change that alters output on purpose updates it and says why in
+# CHANGES.md, as for a golden file.
+BRUTE_DIGEST = "d899c0d4fd0099236a592432b31be04a8fba07ecc745c547a1050d19d17a8b1c"
+
+
+def test_brute_tables_and_decompositions_give_the_pinned_digest():
+    h = hashlib.sha256()
+    for name in bundled_names():
+        _, table = bundled(name)
+        for xi in linear_characters(table):
+            for pi in PI_NAMES:
+                for n in (1, 2) if name in ("c1", "c2", "c3", "c4", "q8") else (1,):
+                    ctx = ctx_of(name, xi, pi, n)
+                    h.update(build_table(ctx, "brute").to_json().encode())
+                    decomposition = decompose_induced(table, ctx.theta)
+                    pairs = sorted((lam.sort_key(), m) for lam, m in decomposition.items())
+                    h.update(repr(pairs).encode())
+    assert h.hexdigest() == BRUTE_DIGEST
 
 
 @pytest.mark.parametrize("name", bundled_names())

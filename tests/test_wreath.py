@@ -382,8 +382,9 @@ def test_conj_theta_table_matches_per_element_theta():
     # theta read off the construction of K equals theta element by element:
     # every bundled group at n <= 2 (a seeded sample of K where it has more
     # than 4096 elements), every linear xi and every pi; one entry per
-    # doubled base, in the order hg_elements lists them; equal values share
-    # one object; and the element cap is checked
+    # doubled base, in the order hg_elements lists them, which times
+    # pi(sigma) is conj(theta) at (base ; sigma); equal values share one
+    # object; and the element cap is checked
     for name in bundled_names():
         group, table = bundled(name)
         rng = random.Random(f"theta-{name}")
@@ -397,14 +398,13 @@ def test_conj_theta_table_matches_per_element_theta():
                 for pi in PI_NAMES:
                     theta = PairedChar(table, xi, pi, n)
                     factors = conj_theta_table(theta)
-                    assert sorted(factors) == [-1, 1]
-                    for entries in factors.values():
-                        assert [b for b, _ in entries] == bases
+                    assert [b for b, _ in factors] == bases
                     for h in hg:
-                        base, got = factors[reference_pi(pi, h.perm)][position[h.base]]
+                        base, got = factors[position[h.base]]
                         assert base == h.base
-                        assert got == theta.value(h).conjugate(), (name, n, xi, pi, h)
-                    values = [w for entries in factors.values() for _, w in entries]
+                        want = theta.value(h).conjugate()
+                        assert got * reference_pi(pi, h.perm) == want, (name, n, xi, pi, h)
+                    values = [w for _, w in factors]
                     assert len({id(v) for v in values}) == len(set(values))
             size = len(bases) * len(hyperoct_perms(n))
             with pytest.raises(CapExceeded, match="cap-elements"):
